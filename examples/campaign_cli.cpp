@@ -10,14 +10,17 @@
 //   campaign_cli --repro "htnoc-campaign-repro seed=0x20260806 index=421"
 //   campaign_cli --repro repros/repro-421.txt
 //
-// Exit status: 0 when every scenario passed, 1 on any failure (or a failing
-// replay, or a merged campaign with failures), 2 on usage/merge errors.
+// Exit status: 0 when every scenario passed, 1 on any failure (a failing
+// scenario or replay, a merged campaign with failures, or an artifact that
+// could not be written), 2 on usage/merge errors.
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -38,8 +41,8 @@ void usage() {
          "       campaign_cli --merge SHARD.json... [--summary-md FILE]\n"
          "                    [--dedup-report FILE] [--quiet]\n"
          "       campaign_cli --repro SPEC-OR-FILE\n"
-         "--spec loads the JSON campaign spec the htnoc_serverd daemon\n"
-         "accepts (docs/SERVER.md); other flags override on top of it.\n"
+         "--spec loads a JSON campaign spec (docs/REPRODUCING.md, \"Spec\n"
+         "files\"); other flags override on top of it.\n"
          "--shard runs one strided slice of the campaign; --shard-summary\n"
          "writes the shard's mergeable JSON document, and --merge combines\n"
          "a complete shard set into the unsharded campaign verdict.\n";
@@ -51,6 +54,17 @@ std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << f.rdbuf();
   return ss.str();
+}
+
+/// Write one artifact; false (reported on stderr) when the file cannot be
+/// opened or written.
+bool write_artifact(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  out.close();
+  if (out) return true;
+  std::cerr << "campaign_cli: cannot write " << path << "\n";
+  return false;
 }
 
 /// Accept either a literal repro line or the path of a file whose first
@@ -85,95 +99,95 @@ int main(int argc, char** argv) {
   bool merging = false;
   bool quiet = false;
 
-  // --spec loads first (wherever it appears): identical input bytes mean
-  // identical runs here and in the daemon, and later flags override.
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--spec") {
-      try {
+  // A malformed value or an unknown flag is a usage error (exit 2), never
+  // an uncaught exception.
+  std::string flag;  // the flag being parsed, for the error message
+  try {
+    // --spec loads first (wherever it appears), so every other flag
+    // overrides on top of the file.
+    for (int i = 1; i + 1 < argc; ++i) {
+      if (std::string(argv[i]) == "--spec") {
+        flag = "--spec";
         spec = htnoc::verify::parse_campaign_spec(read_file(argv[i + 1]));
-      } catch (const std::exception& e) {
-        std::cerr << "campaign_cli: " << e.what() << "\n";
-        return 2;
+        break;
       }
-      break;
     }
-  }
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
+    for (int i = 1; i < argc; ++i) {
+      flag = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) throw std::runtime_error("needs a value");
+        return argv[++i];
+      };
+      if (flag == "--spec") {
+        (void)value();  // consumed by the first pass
+      } else if (flag == "--scenarios") {
+        spec.scenarios = std::stoull(value(), nullptr, 0);
+      } else if (flag == "--seed") {
+        spec.seed = std::stoull(value(), nullptr, 0);
+      } else if (flag == "--jobs") {
+        spec.threads = std::stoi(value());
+      } else if (flag == "--audit-period") {
+        spec.audit.period = std::stoull(value(), nullptr, 0);
+      } else if (flag == "--topologies") {
+        // Comma-separated kinds, e.g. "cmesh,mesh,torus". Omitting the flag
+        // keeps the historical all-cmesh scenario distribution byte-for-byte.
+        std::string list = value();
+        for (std::size_t pos = 0; pos <= list.size();) {
+          const std::size_t comma = std::min(list.find(',', pos), list.size());
+          spec.topologies.push_back(
+              htnoc::topology_kind_from_string(list.substr(pos, comma - pos)));
+          pos = comma + 1;
+        }
+      } else if (flag == "--shard") {
+        // I/N: run shard I of an N-way split (strided global indices).
+        const std::string v = value();
+        const std::size_t slash = v.find('/');
+        try {
+          if (slash == std::string::npos) throw std::invalid_argument(v);
+          spec.shard_index = std::stoull(v.substr(0, slash), nullptr, 0);
+          spec.shard_count = std::stoull(v.substr(slash + 1), nullptr, 0);
+        } catch (const std::logic_error&) {
+          throw std::runtime_error("expects I/N, got '" + v + "'");
+        }
+        if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
+          throw std::runtime_error("needs I < N, got '" + v + "'");
+        }
+      } else if (flag == "--snapshot-warmup") {
+        spec.warmup_cycles = std::stoull(value(), nullptr, 0);
+      } else if (flag == "--merge") {
+        // Consumes every following non-flag argument as a shard summary file.
+        merging = true;
+        while (i + 1 < argc && argv[i + 1][0] != '-') {
+          merge_files.emplace_back(argv[++i]);
+        }
+      } else if (flag == "--summary-md") {
+        summary_md = value();
+      } else if (flag == "--shard-summary") {
+        shard_summary = value();
+      } else if (flag == "--dedup-report") {
+        dedup_report = value();
+      } else if (flag == "--repro-dir") {
+        repro_dir = value();
+      } else if (flag == "--repro") {
+        repro_arg = value();
+      } else if (flag == "--quiet") {
+        quiet = true;
+      } else if (flag == "--help" || flag == "-h") {
         usage();
-        std::exit(2);
+        return 0;
+      } else {
+        throw std::runtime_error("unknown option");
       }
-      return argv[++i];
-    };
-    if (a == "--spec") {
-      (void)value();  // consumed by the first pass
-    } else if (a == "--scenarios") {
-      spec.scenarios = std::stoull(value(), nullptr, 0);
-    } else if (a == "--seed") {
-      spec.seed = std::stoull(value(), nullptr, 0);
-    } else if (a == "--jobs") {
-      spec.threads = std::stoi(value());
-    } else if (a == "--audit-period") {
-      spec.audit.period = std::stoull(value(), nullptr, 0);
-    } else if (a == "--topologies") {
-      // Comma-separated kinds, e.g. "cmesh,mesh,torus". Omitting the flag
-      // keeps the historical all-cmesh scenario distribution byte-for-byte.
-      std::string list = value();
-      for (std::size_t pos = 0; pos <= list.size();) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        spec.topologies.push_back(
-            htnoc::topology_kind_from_string(list.substr(pos, comma - pos)));
-        pos = comma + 1;
-      }
-    } else if (a == "--shard") {
-      // I/N: run shard I of an N-way split (strided global indices).
-      const std::string v = value();
-      const std::size_t slash = v.find('/');
-      if (slash == std::string::npos) {
-        std::cerr << "campaign_cli: --shard expects I/N, got '" << v << "'\n";
-        return 2;
-      }
-      try {
-        spec.shard_index = std::stoull(v.substr(0, slash), nullptr, 0);
-        spec.shard_count = std::stoull(v.substr(slash + 1), nullptr, 0);
-      } catch (const std::exception&) {
-        std::cerr << "campaign_cli: --shard expects I/N, got '" << v << "'\n";
-        return 2;
-      }
-      if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count) {
-        std::cerr << "campaign_cli: --shard needs I < N, got '" << v << "'\n";
-        return 2;
-      }
-    } else if (a == "--snapshot-warmup") {
-      spec.warmup_cycles = std::stoull(value(), nullptr, 0);
-    } else if (a == "--merge") {
-      // Consumes every following non-flag argument as a shard summary file.
-      merging = true;
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        merge_files.emplace_back(argv[++i]);
-      }
-    } else if (a == "--summary-md") {
-      summary_md = value();
-    } else if (a == "--shard-summary") {
-      shard_summary = value();
-    } else if (a == "--dedup-report") {
-      dedup_report = value();
-    } else if (a == "--repro-dir") {
-      repro_dir = value();
-    } else if (a == "--repro") {
-      repro_arg = value();
-    } else if (a == "--quiet") {
-      quiet = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else {
-      usage();
-      return 2;
     }
+  } catch (const std::exception& e) {
+    // std::sto* failures carry only the function name.
+    const bool bad_number = dynamic_cast<const std::invalid_argument*>(&e) ||
+                            dynamic_cast<const std::out_of_range*>(&e);
+    std::cerr << "campaign_cli: " << flag << ": "
+              << (bad_number ? "not a valid number" : e.what()) << "\n";
+    usage();
+    return 2;
   }
 
   if (merging) {
@@ -191,15 +205,14 @@ int main(int argc, char** argv) {
       const htnoc::verify::MergedCampaign merged =
           htnoc::verify::merge_shards(shards);
       if (!quiet) std::cout << merged.summary_text();
+      bool written = true;
       if (!summary_md.empty()) {
-        std::ofstream out(summary_md);
-        out << merged.summary_markdown();
+        written &= write_artifact(summary_md, merged.summary_markdown());
       }
       if (!dedup_report.empty()) {
-        std::ofstream out(dedup_report);
-        out << merged.summary_markdown();
+        written &= write_artifact(dedup_report, merged.summary_markdown());
       }
-      return merged.failures.empty() ? 0 : 1;
+      return written && merged.failures.empty() ? 0 : 1;
     } catch (const std::exception& e) {
       std::cerr << "campaign_cli: " << e.what() << "\n";
       return 2;
@@ -234,29 +247,33 @@ int main(int argc, char** argv) {
   const CampaignResult result = campaign.run();
   if (!quiet) std::cout << result.summary_text();
 
+  bool written = true;
   if (!summary_md.empty()) {
-    std::ofstream out(summary_md);
-    out << result.summary_markdown();
+    written &= write_artifact(summary_md, result.summary_markdown());
   }
   if (!shard_summary.empty()) {
-    std::ofstream out(shard_summary);
-    out << htnoc::json::to_string(
-               htnoc::verify::shard_summary_to_json(
-                   htnoc::verify::summarize_shard(result)),
-               2)
-        << "\n";
+    const htnoc::json::Value doc = htnoc::verify::shard_summary_to_json(
+        htnoc::verify::summarize_shard(result));
+    written &= write_artifact(shard_summary,
+                              htnoc::json::to_string(doc, 2) + "\n");
   }
   if (!repro_dir.empty()) {
-    for (const ScenarioResult& s : result.scenarios) {
-      if (s.ok) continue;
-      std::ofstream out(repro_dir + "/repro-" + std::to_string(s.index) +
-                        ".txt");
-      out << htnoc::verify::format_repro(
-                 {spec.seed, s.index, spec.warmup_cycles})
-          << "\n"
-          << s.descriptor << "\n"
-          << s.error << "\n";
+    std::error_code ec;
+    std::filesystem::create_directories(repro_dir, ec);
+    if (ec) {
+      std::cerr << "campaign_cli: cannot create " << repro_dir << ": "
+                << ec.message() << "\n";
+      written = false;
+    } else {
+      for (const ScenarioResult& s : result.scenarios) {
+        if (s.ok) continue;
+        written &= write_artifact(
+            repro_dir + "/repro-" + std::to_string(s.index) + ".txt",
+            htnoc::verify::format_repro(
+                {spec.seed, s.index, spec.warmup_cycles}) +
+                "\n" + s.descriptor + "\n" + s.error + "\n");
+      }
     }
   }
-  return result.failures() == 0 ? 0 : 1;
+  return written && result.failures() == 0 ? 0 : 1;
 }

@@ -9,6 +9,9 @@
 //
 // Prints the aggregated summary (mean/stddev/min/max per grid point) as
 // CSV on stdout; --json / --runs-csv write the full result to files.
+//
+// Exit status: 0 when every run succeeded, 1 when a run failed or an
+// artifact could not be written, 2 on usage errors.
 #include <cctype>
 #include <chrono>
 #include <cstdio>
@@ -17,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -33,9 +37,8 @@ using namespace htnoc;
 void usage() {
   std::printf(
       "usage: sweep_cli [options]\n"
-      "  --spec FILE        load a sweep spec from JSON (the schema the\n"
-      "                     htnoc_serverd daemon accepts; docs/SERVER.md);\n"
-      "                     other flags override on top of it\n"
+      "  --spec FILE        load a sweep spec from JSON (docs/REPRODUCING.md,\n"
+      "                     \"Spec files\"); other flags override it\n"
       "  --modes M,..       mitigation modes: none, lob, reroute "
       "(default none)\n"
       "  --attacks A,..     attack scenarios: none, single, mem, multi "
@@ -81,6 +84,19 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// Write one artifact through `emit`; false (reported on stderr) when the
+/// file cannot be opened or written.
+template <class Emit>
+bool write_artifact(const std::string& path, Emit&& emit,
+                    std::ios::openmode mode = std::ios::out) {
+  std::ofstream f(path, mode);
+  emit(f);
+  f.close();
+  if (f) return true;
+  std::fprintf(stderr, "sweep_cli: cannot write %s\n", path.c_str());
+  return false;
+}
+
 /// Whole-file slurp for --spec (throws on unreadable path).
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -101,24 +117,25 @@ int main(int argc, char** argv) {
   std::string runs_csv_path;
   std::string trace_dir;
 
+  std::string arg;  // the flag being parsed, for the error message
   try {
     // --spec loads first (wherever it appears), so every other flag
     // overrides on top of the file — the same precedence whatever the
     // argument order.
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--spec") == 0) {
-        if (i + 1 >= argc) throw std::runtime_error("--spec needs a value");
-        // The file carries the spec schema's defaults (replicates 1, like
-        // the daemon), not the CLI's replicates=3 — identical input bytes
-        // must mean identical runs in both front ends.
+        arg = "--spec";
+        if (i + 1 >= argc) throw std::runtime_error("needs a value");
+        // The file carries the spec schema's defaults (replicates 1), not
+        // the CLI's replicates=3: the file alone defines the runs.
         spec = sweep::parse_sweep_spec(read_file(argv[i + 1]));
         break;
       }
     }
     for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
+      arg = argv[i];
       auto value = [&]() -> std::string {
-        if (i + 1 >= argc) throw std::runtime_error(arg + " needs a value");
+        if (i + 1 >= argc) throw std::runtime_error("needs a value");
         return argv[++i];
       };
       if (arg == "--help" || arg == "-h") {
@@ -165,12 +182,23 @@ int main(int argc, char** argv) {
       } else if (arg == "--trace-categories") {
         spec.base.trace.categories = trace::parse_categories(value());
       } else {
-        throw std::runtime_error("unknown option: " + arg);
+        throw std::runtime_error("unknown option");
       }
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "sweep_cli: %s\n", e.what());
+    // std::sto* failures carry only the function name.
+    const bool bad_number = dynamic_cast<const std::invalid_argument*>(&e) ||
+                            dynamic_cast<const std::out_of_range*>(&e);
+    std::fprintf(stderr, "sweep_cli: %s: %s\n", arg.c_str(),
+                 bad_number ? "not a valid number" : e.what());
     usage();
+    return 2;
+  }
+  if (spec.base.trace.enabled && trace_dir.empty()) {
+    // Every run would record a trace that nothing writes out.
+    std::fprintf(stderr,
+                 "sweep_cli: the spec enables tracing; pass --trace DIR to "
+                 "say where the traces go\n");
     return 2;
   }
 
@@ -185,13 +213,15 @@ int main(int argc, char** argv) {
             .count();
 
     sweep::write_summary_csv(std::cout, result);
+    bool written = true;
     if (!json_path.empty()) {
-      std::ofstream f(json_path);
-      sweep::write_json(f, result);
+      written &= write_artifact(
+          json_path, [&](std::ostream& f) { sweep::write_json(f, result); });
     }
     if (!runs_csv_path.empty()) {
-      std::ofstream f(runs_csv_path);
-      sweep::write_runs_csv(f, result);
+      written &= write_artifact(runs_csv_path, [&](std::ostream& f) {
+        sweep::write_runs_csv(f, result);
+      });
     }
     if (!trace_dir.empty()) {
       if (!trace::kCompiledIn) {
@@ -199,26 +229,25 @@ int main(int argc, char** argv) {
                      "[sweep] --trace ignored: built with HTNOC_TRACE=0\n");
       }
       std::filesystem::create_directories(trace_dir);
-      std::size_t written = 0;
+      std::size_t traces = 0;
       for (const auto& r : result.runs) {
         if (!r.ok || !r.trace) continue;
         const std::string stem =
             trace_dir + "/" + sanitize_label(r.spec.label());
-        {
-          std::ofstream f(stem + ".trace.bin", std::ios::binary);
-          trace::write_binary(f, *r.trace);
-        }
-        {
-          std::ofstream f(stem + ".trace.json");
-          trace::write_chrome_json(f, *r.trace);
-        }
-        {
-          std::ofstream f(stem + ".timeline.txt");
-          trace::print_timeline(f, *r.trace, trace::analyze(*r.trace));
-        }
-        ++written;
+        const trace::TraceLog& log = *r.trace;
+        written &= write_artifact(
+            stem + ".trace.bin",
+            [&](std::ostream& f) { trace::write_binary(f, log); },
+            std::ios::binary);
+        written &= write_artifact(stem + ".trace.json", [&](std::ostream& f) {
+          trace::write_chrome_json(f, log);
+        });
+        written &= write_artifact(stem + ".timeline.txt", [&](std::ostream& f) {
+          trace::print_timeline(f, log, trace::analyze(log));
+        });
+        ++traces;
       }
-      std::fprintf(stderr, "[sweep] wrote %zu trace(s) to %s\n", written,
+      std::fprintf(stderr, "[sweep] wrote %zu trace(s) to %s\n", traces,
                    trace_dir.c_str());
     }
 
@@ -233,7 +262,7 @@ int main(int argc, char** argv) {
                      r.error.c_str());
       }
     }
-    return result.failures() == 0 ? 0 : 1;
+    return written && result.failures() == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sweep_cli: %s\n", e.what());
     return 1;

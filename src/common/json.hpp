@@ -3,9 +3,8 @@
 // deterministic serializer.
 //
 // This is the single JSON substrate shared by the spec codecs
-// (src/sweep/spec_json, src/verify/campaign_json) and the simulation
-// server (src/server) — the CLI `--spec` path and the daemon's HTTP job
-// submission parse through exactly the same code, so they cannot drift.
+// (src/sweep/spec_json, src/verify/campaign_json), which back the CLIs'
+// `--spec` path, and the campaign's shard summaries.
 //
 // Deliberate strictness (specs are configuration, not documents):
 //   * duplicate object keys are a parse error;

@@ -14,23 +14,21 @@
 // silently instead of DoSing them, while a single-bit payload — harmless
 // against SECDED — already mounts the full DoS against parity.
 //
-// Two entry points share the scheme implementations:
-//   * `CodecDispatch` — the hot path. An enum tag resolved once at
-//     construction (input/output units bind it to their NocConfig's
-//     scheme); encode/decode inline with no virtual call per phit.
-//   * `LinkCodec` / `codec_for()` — the polymorphic view kept for on-link
-//     inspectors (the trojan's comparator, the snooper) and tests, where a
-//     per-phit virtual call is not on the simulator's critical path.
+// `CodecDispatch` is the one entry point: an enum tag resolved once at
+// construction (routers bind it to their NocConfig's scheme, on-link
+// inspectors such as the trojan's comparator and the snooper to the
+// scheme they were designed against); encode/decode inline with no
+// virtual call per phit.
 #pragma once
 
-#include <string>
+#include <cstddef>
 
 #include "common/config.hpp"
 #include "ecc/secded.hpp"
 
 namespace htnoc::ecc {
 
-// --- scheme implementations (shared by both dispatch styles) ---
+// --- scheme implementations ---
 
 /// Single even-parity bit at wire 64; data on wires 0..63.
 [[nodiscard]] inline Codeword72 parity_encode(std::uint64_t data) noexcept {
@@ -155,77 +153,5 @@ class CodecDispatch {
   EccScheme scheme_;
   const Secded* secded_;  ///< Cached shared instance (never null).
 };
-
-// --- polymorphic view (inspectors, tests) ---
-
-/// Interface every link code implements. Stateless; one shared instance per
-/// scheme.
-class LinkCodec {
- public:
-  virtual ~LinkCodec() = default;
-  [[nodiscard]] virtual Codeword72 encode(std::uint64_t data) const = 0;
-  [[nodiscard]] virtual DecodeResult decode(Codeword72 received) const = 0;
-  /// Read the data bits without checking (what an on-link observer taps).
-  [[nodiscard]] virtual std::uint64_t extract_data(const Codeword72& cw) const = 0;
-  /// Wires actually carrying signal under this scheme (faults on unused
-  /// wires are invisible).
-  [[nodiscard]] virtual unsigned used_wires() const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// SECDED adapter over the shared Hamming(72,64) tables.
-class SecdedCodec final : public LinkCodec {
- public:
-  [[nodiscard]] Codeword72 encode(std::uint64_t data) const override {
-    return secded().encode(data);
-  }
-  [[nodiscard]] DecodeResult decode(Codeword72 received) const override {
-    return secded().decode(received);
-  }
-  [[nodiscard]] std::uint64_t extract_data(const Codeword72& cw) const override {
-    return secded().extract_data(cw);
-  }
-  [[nodiscard]] unsigned used_wires() const override {
-    return used_wires_for(EccScheme::kSecded);
-  }
-  [[nodiscard]] std::string name() const override { return "secded"; }
-};
-
-class ParityCodec final : public LinkCodec {
- public:
-  [[nodiscard]] Codeword72 encode(std::uint64_t data) const override {
-    return parity_encode(data);
-  }
-  [[nodiscard]] DecodeResult decode(Codeword72 received) const override {
-    return parity_decode(received);
-  }
-  [[nodiscard]] std::uint64_t extract_data(const Codeword72& cw) const override {
-    return cw.lo;
-  }
-  [[nodiscard]] unsigned used_wires() const override {
-    return used_wires_for(EccScheme::kParity);
-  }
-  [[nodiscard]] std::string name() const override { return "parity"; }
-};
-
-class NoneCodec final : public LinkCodec {
- public:
-  [[nodiscard]] Codeword72 encode(std::uint64_t data) const override {
-    return none_encode(data);
-  }
-  [[nodiscard]] DecodeResult decode(Codeword72 received) const override {
-    return none_decode(received);
-  }
-  [[nodiscard]] std::uint64_t extract_data(const Codeword72& cw) const override {
-    return cw.lo;
-  }
-  [[nodiscard]] unsigned used_wires() const override {
-    return used_wires_for(EccScheme::kNone);
-  }
-  [[nodiscard]] std::string name() const override { return "none"; }
-};
-
-/// Shared codec instance for a scheme.
-[[nodiscard]] const LinkCodec& codec_for(EccScheme scheme);
 
 }  // namespace htnoc::ecc

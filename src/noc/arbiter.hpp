@@ -1,14 +1,9 @@
-// Arbiters used by the VC and switch allocators.
-//
-// The paper's router uses round-robin arbitration; a matrix (least-recently-
-// served) arbiter is provided as an ablation alternative. Both expose the
-// same interface: present a request bitmap, receive at most one grant, and
-// update priority state only when a grant is accepted.
+// The arbiter used by the VC and switch allocators. The paper's router
+// arbitrates round-robin: present a request bitmap, receive at most one
+// grant, and rotate priority only when a grant is accepted.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -19,38 +14,17 @@ struct StateCodec;  // snapshot/restore (src/verify/snapshot.cpp)
 
 namespace htnoc {
 
-/// Abstract N-way single-resource arbiter.
-class Arbiter {
+/// Classic rotating-priority N-way single-resource arbiter.
+class RoundRobinArbiter {
  public:
-  explicit Arbiter(int num_inputs) : num_inputs_(num_inputs) {
+  explicit RoundRobinArbiter(int num_inputs) : num_inputs_(num_inputs) {
     HTNOC_EXPECT(num_inputs > 0);
   }
-  virtual ~Arbiter() = default;
-
-  Arbiter(const Arbiter&) = delete;
-  Arbiter& operator=(const Arbiter&) = delete;
 
   /// Pick a winner among the set request lines, or -1 when none requested.
   /// Does not commit priority state; call update(winner) when the grant is
   /// actually used.
-  [[nodiscard]] virtual int arbitrate(const std::vector<bool>& requests) = 0;
-
-  /// Commit the grant so the next arbitration round deprioritizes `winner`.
-  virtual void update(int winner) = 0;
-
-  [[nodiscard]] virtual std::string name() const = 0;
-  [[nodiscard]] int num_inputs() const noexcept { return num_inputs_; }
-
- protected:
-  int num_inputs_;
-};
-
-/// Classic rotating-priority round-robin arbiter.
-class RoundRobinArbiter final : public Arbiter {
- public:
-  explicit RoundRobinArbiter(int num_inputs) : Arbiter(num_inputs) {}
-
-  [[nodiscard]] int arbitrate(const std::vector<bool>& requests) override {
+  [[nodiscard]] int arbitrate(const std::vector<bool>& requests) const {
     HTNOC_EXPECT(static_cast<int>(requests.size()) == num_inputs_);
     for (int i = 0; i < num_inputs_; ++i) {
       const int idx = (next_ + i) % num_inputs_;
@@ -59,79 +33,17 @@ class RoundRobinArbiter final : public Arbiter {
     return -1;
   }
 
-  void update(int winner) override {
+  /// Commit the grant so the next arbitration round deprioritizes `winner`.
+  void update(int winner) {
     HTNOC_EXPECT(winner >= 0 && winner < num_inputs_);
     next_ = (winner + 1) % num_inputs_;
   }
 
-  [[nodiscard]] std::string name() const override { return "round_robin"; }
-
  private:
   friend struct htnoc::verify::StateCodec;
 
+  int num_inputs_;
   int next_ = 0;
 };
-
-/// Matrix (least-recently-served) arbiter: w[i][j] == true means input i has
-/// priority over input j. Strong fairness; costs N^2 state bits.
-class MatrixArbiter final : public Arbiter {
- public:
-  explicit MatrixArbiter(int num_inputs)
-      : Arbiter(num_inputs),
-        prio_(static_cast<std::size_t>(num_inputs),
-              std::vector<bool>(static_cast<std::size_t>(num_inputs), false)) {
-    // Initial total order: lower index wins.
-    for (int i = 0; i < num_inputs; ++i)
-      for (int j = i + 1; j < num_inputs; ++j)
-        prio_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = true;
-  }
-
-  [[nodiscard]] int arbitrate(const std::vector<bool>& requests) override {
-    HTNOC_EXPECT(static_cast<int>(requests.size()) == num_inputs_);
-    for (int i = 0; i < num_inputs_; ++i) {
-      if (!requests[static_cast<std::size_t>(i)]) continue;
-      bool wins = true;
-      for (int j = 0; j < num_inputs_; ++j) {
-        if (j == i || !requests[static_cast<std::size_t>(j)]) continue;
-        if (prio_[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)]) {
-          wins = false;
-          break;
-        }
-      }
-      if (wins) return i;
-    }
-    return -1;  // unreachable for non-empty request sets; defensive
-  }
-
-  void update(int winner) override {
-    HTNOC_EXPECT(winner >= 0 && winner < num_inputs_);
-    const auto w = static_cast<std::size_t>(winner);
-    for (int j = 0; j < num_inputs_; ++j) {
-      prio_[w][static_cast<std::size_t>(j)] = false;
-      prio_[static_cast<std::size_t>(j)][w] = true;
-    }
-    prio_[w][w] = false;
-  }
-
-  [[nodiscard]] std::string name() const override { return "matrix"; }
-
- private:
-  friend struct htnoc::verify::StateCodec;
-
-  std::vector<std::vector<bool>> prio_;
-};
-
-enum class ArbiterKind : std::uint8_t { kRoundRobin, kMatrix };
-
-[[nodiscard]] inline std::unique_ptr<Arbiter> make_arbiter(ArbiterKind kind,
-                                                           int num_inputs) {
-  switch (kind) {
-    case ArbiterKind::kMatrix:
-      return std::make_unique<MatrixArbiter>(num_inputs);
-    case ArbiterKind::kRoundRobin:
-    default:
-      return std::make_unique<RoundRobinArbiter>(num_inputs);
-  }
-}
 
 }  // namespace htnoc

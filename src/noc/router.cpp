@@ -7,7 +7,7 @@
 namespace htnoc {
 
 Router::Router(const NocConfig& cfg, RouterId id,
-               const RoutingFunction* routing, ArbiterKind arbiter_kind)
+               const RoutingFunction* routing)
     : cfg_(cfg), id_(id), routing_(routing), codec_(cfg.ecc_scheme) {
   HTNOC_EXPECT(routing != nullptr);
   const int ports = cfg_.ports_per_router();
@@ -19,13 +19,11 @@ Router::Router(const NocConfig& cfg, RouterId id,
         cfg_, "r" + std::to_string(id_) + ".out" + std::to_string(p)));
   }
   const int nreq = ports * cfg_.vcs_per_port;
-  for (int i = 0; i < nreq; ++i) {
-    va_arbiters_.push_back(make_arbiter(arbiter_kind, nreq));
-  }
-  for (int p = 0; p < ports; ++p) {
-    sa_input_arbiters_.push_back(make_arbiter(arbiter_kind, cfg_.vcs_per_port));
-    sa_output_arbiters_.push_back(make_arbiter(arbiter_kind, ports));
-  }
+  va_arbiters_.assign(static_cast<std::size_t>(nreq), RoundRobinArbiter(nreq));
+  sa_input_arbiters_.assign(static_cast<std::size_t>(ports),
+                            RoundRobinArbiter(cfg_.vcs_per_port));
+  sa_output_arbiters_.assign(static_cast<std::size_t>(ports),
+                             RoundRobinArbiter(ports));
   // Arbitration scratch is sized once here and reused every cycle; the
   // request bitmaps are all-false between stage calls (each stage wipes
   // exactly the rows it touched).
@@ -193,7 +191,7 @@ void Router::stage_va(Cycle now) {
 
   for (int ai = 0; ai < nreq; ++ai) {
     if (!va_any_[static_cast<std::size_t>(ai)]) continue;
-    Arbiter& arb = *va_arbiters_[static_cast<std::size_t>(ai)];
+    RoundRobinArbiter& arb = va_arbiters_[static_cast<std::size_t>(ai)];
     const int winner = arb.arbitrate(va_requests_[static_cast<std::size_t>(ai)]);
     if (winner < 0) continue;
     arb.update(winner);
@@ -248,7 +246,7 @@ void Router::stage_sa_st(Cycle now) {
       ++stats_.sa_requests;
     }
     if (!any) continue;
-    Arbiter& arb = *sa_input_arbiters_[static_cast<std::size_t>(ip)];
+    RoundRobinArbiter& arb = sa_input_arbiters_[static_cast<std::size_t>(ip)];
     const int w = arb.arbitrate(sa_vc_req_);
     if (w >= 0) {
       arb.update(w);
@@ -271,7 +269,7 @@ void Router::stage_sa_st(Cycle now) {
       }
     }
     if (!any) continue;
-    Arbiter& arb = *sa_output_arbiters_[static_cast<std::size_t>(op)];
+    RoundRobinArbiter& arb = sa_output_arbiters_[static_cast<std::size_t>(op)];
     const int ip = arb.arbitrate(sa_port_req_);
     std::fill(sa_port_req_.begin(), sa_port_req_.end(), false);
     if (ip < 0) continue;

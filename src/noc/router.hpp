@@ -41,8 +41,7 @@ class Router {
     }
   };
 
-  Router(const NocConfig& cfg, RouterId id, const RoutingFunction* routing,
-         ArbiterKind arbiter_kind = ArbiterKind::kRoundRobin);
+  Router(const NocConfig& cfg, RouterId id, const RoutingFunction* routing);
 
   [[nodiscard]] RouterId id() const noexcept { return id_; }
   [[nodiscard]] int num_ports() const noexcept {
@@ -150,11 +149,11 @@ class Router {
   std::vector<std::unique_ptr<OutputUnit>> outputs_;
 
   // VA: one arbiter per (out_port, out_vc) over all (in_port, in_vc).
-  std::vector<std::unique_ptr<Arbiter>> va_arbiters_;
+  std::vector<RoundRobinArbiter> va_arbiters_;
   // SA stage 1: one arbiter per input port over its VCs.
-  std::vector<std::unique_ptr<Arbiter>> sa_input_arbiters_;
+  std::vector<RoundRobinArbiter> sa_input_arbiters_;
   // SA stage 2: one arbiter per output port over input ports.
-  std::vector<std::unique_ptr<Arbiter>> sa_output_arbiters_;
+  std::vector<RoundRobinArbiter> sa_output_arbiters_;
 
   // --- persistent per-cycle scratch (docs/PERFORMANCE.md) ---
   // The allocator stages and the batched ECC lanes reuse these arenas every

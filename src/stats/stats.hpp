@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/expect.hpp"
-#include "common/json.hpp"
 #include "noc/network.hpp"
 
 namespace htnoc::stats {
@@ -139,11 +138,6 @@ class LatencyStats {
   [[nodiscard]] double p99() const { return percentile(0.99); }
 
   void print(std::ostream& os, const std::string& label) const;
-
-  /// Structured export for streaming stat sinks and the server's /stats
-  /// endpoint: {"count", "mean", "min", "max", "p50", "p95", "p99",
-  /// "histogram": [per-bucket counts, buckets <8, <16, ..., rest]}.
-  [[nodiscard]] json::Value to_json() const;
 
  private:
   static constexpr std::size_t kBuckets = 10;  // <8, <16, ..., <2048, rest

@@ -233,17 +233,8 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
   // Index-addressed result slots + an atomic work cursor: no ordering or
   // locking anywhere, and the output is independent of the schedule.
   std::atomic<std::size_t> cursor{0};
-  std::atomic<std::size_t> done{0};
-  std::atomic<bool> stopped{false};
   auto worker = [&]() {
     for (;;) {
-      // Cooperative cancellation at run granularity: the stop token is
-      // polled before a claim, never mid-run, so every claimed run
-      // finishes whole and the claimed set stays the prefix [0, cursor).
-      if (opts_.should_stop && opts_.should_stop()) {
-        stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
       const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= runs.size()) return;
       try {
@@ -257,10 +248,6 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
         out.runs[i].ok = false;
         out.runs[i].error = "unknown exception";
       }
-      if (opts_.progress) {
-        opts_.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                       runs.size());
-      }
     }
   };
 
@@ -273,14 +260,6 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
     for (std::thread& t : pool) t.join();
   }
 
-  if (stopped.load(std::memory_order_relaxed)) {
-    // Every claimed index is < cursor and every index < cursor was claimed
-    // (and has finished, since workers re-poll only between runs), so the
-    // completed work is exactly this prefix.
-    out.cancelled = true;
-    out.runs.resize(std::min(cursor.load(std::memory_order_relaxed),
-                             runs.size()));
-  }
   out.summary = aggregate(out.runs);
   return out;
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -86,9 +85,6 @@ struct SweepResult {
   std::vector<RunResult> runs;       ///< In expansion order.
   std::vector<GridSummary> summary;  ///< One per grid point, in order.
   int threads_used = 1;  ///< Informational; never serialized by emitters.
-  /// True when Options::should_stop ended the sweep early; `runs` then
-  /// holds exactly the claimed prefix of the expansion order.
-  bool cancelled = false;
 
   [[nodiscard]] std::size_t failures() const {
     std::size_t n = 0;
@@ -111,27 +107,6 @@ class SweepRunner {
     /// machine; see docs/SCALING.md). An explicit request is taken as-is.
     /// Always clamped to [1, number of runs].
     int num_threads = 0;
-
-    /// Invoked after each run finishes with (runs completed so far, total
-    /// runs). Called from worker threads, possibly concurrently — the
-    /// callee synchronizes. Purely observational: it must not (and cannot)
-    /// affect results, which stay byte-identical with or without it. The
-    /// server's /runs endpoint feeds per-job progress from this.
-    std::function<void(std::size_t, std::size_t)> progress = nullptr;
-
-    /// Cooperative stop token, polled before each run is claimed (run
-    /// granularity: a run in flight always finishes whole). When it returns
-    /// true, no further runs start, the claimed prefix completes, and the
-    /// result comes back with `cancelled == true` and `runs` truncated to
-    /// that prefix. Called from worker threads, possibly concurrently — it
-    /// must be thread-safe (typically a load of an std::atomic<bool>). The
-    /// server's DELETE /runs/<id> feeds this; like `progress` it is not
-    /// part of the spec document (the spec codec never sees it). Because
-    /// workers claim run indices off a single atomic cursor, the completed
-    /// set is always the exact prefix [0, k) — so a cancelled sweep's
-    /// emitted artifacts for a fixed stop point k are byte-identical to a
-    /// sweep over the first k runs.
-    std::function<bool()> should_stop = nullptr;
   };
 
   SweepRunner() = default;

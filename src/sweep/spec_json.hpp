@@ -1,6 +1,5 @@
 // JSON codec for SweepSpec — the single source of truth for experiment
-// specs shared by `sweep_cli --spec`, the simulation server's HTTP job
-// submission and the tests, so the CLI and the daemon cannot drift.
+// specs shared by `sweep_cli --spec` and the tests.
 //
 // Contract:
 //   * parsing is strict — unknown keys, wrong types and out-of-range
@@ -12,7 +11,7 @@
 //     because JSON numbers lose exactness above 2^53; parsing accepts a
 //     number or a decimal/hex string everywhere an integer is expected.
 //
-// The schema is documented field-by-field in docs/SERVER.md.
+// docs/REPRODUCING.md ("Spec files") documents the schema.
 #pragma once
 
 #include <stdexcept>
@@ -38,13 +37,12 @@ class SpecError : public std::runtime_error {
 
 /// Canonical serialization: every supported field, fixed order. The
 /// `transform_factory` hook is not representable in JSON and is omitted
-/// (as are SweepRunner::Options' `progress` / `should_stop` runtime
-/// hooks, which live on the runner, not the spec).
+/// (as is SweepRunner::Options, which lives on the runner, not the spec).
 [[nodiscard]] json::Value sweep_spec_to_json(const SweepSpec& spec);
 
 /// The named attack-scenario presets the CLI has always offered ("none",
 /// "single", "mem", "multi"); shared so a preset means the same implants
-/// in a JSON spec, on the sweep_cli command line and over HTTP.
+/// in a JSON spec and on the sweep_cli command line.
 [[nodiscard]] AttackScenario attack_scenario_preset(const std::string& name);
 
 /// One scenario from either a preset name string or a full

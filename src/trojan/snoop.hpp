@@ -28,7 +28,9 @@ class SnoopingTrojan final : public LinkFaultInjector {
   /// `exfil_capacity`: how many captured words the trojan can stage before
   /// old captures are overwritten (its covert buffer is tiny by design).
   explicit SnoopingTrojan(TaspParams params, std::size_t exfil_capacity = 16)
-      : comparator_(std::move(params)), capacity_(exfil_capacity) {
+      : comparator_(std::move(params)),
+        codec_(comparator_.params().ecc),
+        capacity_(exfil_capacity) {
     HTNOC_EXPECT(exfil_capacity >= 1);
   }
 
@@ -48,8 +50,7 @@ class SnoopingTrojan final : public LinkFaultInjector {
     (void)now;
     if (!comparator_.kill_switch()) return;
     ++stats_.flits_inspected;
-    const std::uint64_t w =
-        ecc::codec_for(comparator_.params().ecc).extract_data(phit.codeword);
+    const std::uint64_t w = codec_.extract_data(phit.codeword);
     if (!comparator_.matches(w)) return;
     ++stats_.flits_captured;
     captured_.push_back(w);
@@ -64,6 +65,7 @@ class SnoopingTrojan final : public LinkFaultInjector {
   // Tasp member is never given fault opportunities (we don't call its
   // on_traverse).
   Tasp comparator_;
+  ecc::CodecDispatch codec_;  ///< The link code the comparator taps through.
   std::size_t capacity_;
   std::deque<std::uint64_t> captured_;
   Stats stats_;

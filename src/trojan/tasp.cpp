@@ -30,7 +30,7 @@ unsigned target_width(TargetKind k) {
   return 0;
 }
 
-Tasp::Tasp(TaspParams params) : params_(params) {
+Tasp::Tasp(TaspParams params) : params_(params), codec_(params_.ecc) {
   HTNOC_EXPECT(params_.payload_states >= 2 &&
                params_.payload_states <= static_cast<int>(Codeword72::kBits));
   HTNOC_EXPECT(params_.min_gap >= 1);
@@ -38,7 +38,7 @@ Tasp::Tasp(TaspParams params) : params_(params) {
   // actually uses (the attacker knows the ECC, Sec. III-B) — the design-
   // time choice that maximizes location diversity for a given flip-flop
   // budget without wasting taps on dead wires.
-  const unsigned span = ecc::codec_for(params_.ecc).used_wires();
+  const unsigned span = ecc::used_wires_for(params_.ecc);
   tap_wires_.reserve(static_cast<std::size_t>(params_.payload_states));
   for (int i = 0; i < params_.payload_states; ++i) {
     tap_wires_.push_back(static_cast<unsigned>(
@@ -115,8 +115,7 @@ void Tasp::on_traverse(Cycle now, LinkPhit& phit) {
   if (state_ == State::kIdle) state_ = State::kActive;
 
   ++stats_.flits_inspected;
-  const std::uint64_t w =
-      ecc::codec_for(params_.ecc).extract_data(phit.codeword);
+  const std::uint64_t w = codec_.extract_data(phit.codeword);
   if (!matches(w)) return;
 
   ++stats_.target_sightings;

@@ -140,6 +140,7 @@ class Tasp final : public LinkFaultInjector {
   }
 
   TaspParams params_;
+  ecc::CodecDispatch codec_;  ///< The link code the comparator taps through.
   bool killsw_ = false;
   State state_ = State::kIdle;
   int payload_state_ = 0;

@@ -79,7 +79,8 @@ struct CampaignSpec {
   /// hook, not a scenario parameter: never serialized by campaign_json.cpp
   /// and it cannot perturb the draw sequence — a campaign cancelled after
   /// k scenarios summarizes byte-identically to a k-scenario campaign of
-  /// the same seed (the server's DELETE /runs/<id> relies on this).
+  /// the same seed. perfbench's campaign_fork workload uses both hooks to
+  /// time the warmup set-up apart from the scenarios.
   std::function<bool()> should_stop = nullptr;
 };
 

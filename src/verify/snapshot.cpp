@@ -497,23 +497,15 @@ struct StateCodec {
   }
 
   template <class Ar>
-  static void io_arbiter(Ar& ar, Arbiter& arb) {
-    auto* rr = dynamic_cast<RoundRobinArbiter*>(&arb);
-    auto* mx = dynamic_cast<MatrixArbiter*>(&arb);
-    std::uint8_t kind = rr != nullptr ? 0 : 1;
-    const std::uint8_t actual = kind;
+  static void io_arbiter(Ar& ar, RoundRobinArbiter& arb) {
+    // The version-1 layout puts a kind byte before the rotation pointer.
+    // Round-robin is the only kind (0); a blob naming another is rejected.
+    std::uint8_t kind = 0;
     ar.u8(kind);
     if constexpr (Ar::kLoading) {
-      if (kind != actual) throw SnapshotError("arbiter kind mismatch");
+      if (kind != 0) throw SnapshotError("arbiter kind mismatch");
     }
-    if (rr != nullptr) {
-      io_int(ar, rr->next_);
-    } else if (mx != nullptr) {
-      fixed_size(ar, mx->prio_.size(), "matrix arbiter rows");
-      for (auto& row : mx->prio_) io_bool_vec(ar, row, "matrix arbiter row");
-    } else {
-      throw SnapshotError("unserializable arbiter");
-    }
+    io_int(ar, arb.next_);
   }
 
   template <class Ar>
@@ -527,11 +519,11 @@ struct StateCodec {
     ar.u64(r.stats_.sa_stalls_no_slot);
     ar.u64(r.stats_.sa_stalls_no_credit);
     fixed_size(ar, r.va_arbiters_.size(), "VA arbiters");
-    for (auto& a : r.va_arbiters_) io_arbiter(ar, *a);
+    for (auto& a : r.va_arbiters_) io_arbiter(ar, a);
     fixed_size(ar, r.sa_input_arbiters_.size(), "SA input arbiters");
-    for (auto& a : r.sa_input_arbiters_) io_arbiter(ar, *a);
+    for (auto& a : r.sa_input_arbiters_) io_arbiter(ar, a);
     fixed_size(ar, r.sa_output_arbiters_.size(), "SA output arbiters");
-    for (auto& a : r.sa_output_arbiters_) io_arbiter(ar, *a);
+    for (auto& a : r.sa_output_arbiters_) io_arbiter(ar, a);
     fixed_size(ar, r.inputs_.size(), "router input ports");
     for (auto& in : r.inputs_) io_input(ar, *in);
     fixed_size(ar, r.outputs_.size(), "router output ports");

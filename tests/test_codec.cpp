@@ -1,4 +1,4 @@
-// The link-codec abstraction and, more importantly, the interplay between
+// The link codec (CodecDispatch) and, more importantly, the interplay between
 // the error-control scheme and the trojan's payload design: a TASP is
 // tuned to its link's ECC, and mis-tuning flips the attack's effect
 // between denial-of-service and silent corruption.
@@ -15,18 +15,18 @@ namespace htnoc::ecc {
 namespace {
 
 TEST(Codec, FactoryReturnsNamedSchemes) {
-  EXPECT_EQ(codec_for(EccScheme::kSecded).name(), "secded");
-  EXPECT_EQ(codec_for(EccScheme::kParity).name(), "parity");
-  EXPECT_EQ(codec_for(EccScheme::kNone).name(), "none");
-  EXPECT_EQ(codec_for(EccScheme::kSecded).used_wires(), 72u);
-  EXPECT_EQ(codec_for(EccScheme::kParity).used_wires(), 65u);
-  EXPECT_EQ(codec_for(EccScheme::kNone).used_wires(), 64u);
+  EXPECT_EQ(to_string(CodecDispatch(EccScheme::kSecded).scheme()), "secded");
+  EXPECT_EQ(to_string(CodecDispatch(EccScheme::kParity).scheme()), "parity");
+  EXPECT_EQ(to_string(CodecDispatch(EccScheme::kNone).scheme()), "none");
+  EXPECT_EQ(CodecDispatch(EccScheme::kSecded).used_wires(), 72u);
+  EXPECT_EQ(CodecDispatch(EccScheme::kParity).used_wires(), 65u);
+  EXPECT_EQ(CodecDispatch(EccScheme::kNone).used_wires(), 64u);
 }
 
 class CodecRoundTrip : public ::testing::TestWithParam<EccScheme> {};
 
 TEST_P(CodecRoundTrip, CleanEncodeDecode) {
-  const LinkCodec& codec = codec_for(GetParam());
+  const CodecDispatch codec(GetParam());
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t d = rng.next_u64();
@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, CodecRoundTrip,
                                            EccScheme::kNone));
 
 TEST(Codec, ParityDetectsOddErrorsOnly) {
-  const LinkCodec& codec = codec_for(EccScheme::kParity);
+  const CodecDispatch codec(EccScheme::kParity);
   const std::uint64_t d = 0x0123456789ABCDEFULL;
   Codeword72 one = codec.encode(d);
   one.flip(7);
@@ -59,14 +59,14 @@ TEST(Codec, ParityDetectsOddErrorsOnly) {
 }
 
 TEST(Codec, ParityBitItselfIsCovered) {
-  const LinkCodec& codec = codec_for(EccScheme::kParity);
+  const CodecDispatch codec(EccScheme::kParity);
   Codeword72 cw = codec.encode(0xAA);
   cw.flip(64);
   EXPECT_TRUE(needs_retransmission(codec.decode(cw).status));
 }
 
 TEST(Codec, NoneNeverDetectsAnything) {
-  const LinkCodec& codec = codec_for(EccScheme::kNone);
+  const CodecDispatch codec(EccScheme::kNone);
   Codeword72 cw = codec.encode(0xFFFF);
   cw.flip(0);
   cw.flip(1);

@@ -1,4 +1,4 @@
-// The strict JSON substrate under the spec codecs and the daemon: parse /
+// The strict JSON substrate under the spec codecs: parse /
 // serialize round-trips, duplicate-key and trailing-garbage rejection,
 // line/column error positions, number formatting that survives a
 // parse-print cycle, and the uint64-as-hex-string convention.

@@ -3,8 +3,8 @@
 // identical codewords from encode, identical full DecodeResult (status,
 // data, syndrome, overall-parity flag, corrected position) over all 72
 // single-bit and all 2,556 two-bit error patterns with randomized data,
-// plus randomized higher-weight patterns. Also covers the de-virtualized
-// CodecDispatch against the polymorphic codec_for() view for every scheme.
+// plus randomized higher-weight patterns. Also checks that the parity
+// scheme zeroes uncorrectable data.
 #include "ecc/secded_reference.hpp"
 
 #include <gtest/gtest.h>
@@ -130,42 +130,6 @@ TEST_F(SecdedEquivalence, RandomWordsIdentical) {
                        "iter=" + std::to_string(i));
   }
 }
-
-// The de-virtualized dispatch must agree with the polymorphic view that
-// on-link inspectors and older tests still use, for every scheme.
-class DispatchEquivalence : public ::testing::TestWithParam<EccScheme> {};
-
-TEST_P(DispatchEquivalence, MatchesPolymorphicCodec) {
-  const EccScheme scheme = GetParam();
-  const CodecDispatch dispatch(scheme);
-  const LinkCodec& poly = codec_for(scheme);
-  EXPECT_EQ(dispatch.scheme(), scheme);
-  EXPECT_EQ(dispatch.used_wires(), poly.used_wires());
-
-  Rng rng(static_cast<std::uint64_t>(scheme) + 99);
-  for (int i = 0; i < 2048; ++i) {
-    const std::uint64_t d = rng.next_u64();
-    Codeword72 cw = dispatch.encode(d);
-    ASSERT_TRUE(cw == poly.encode(d));
-    EXPECT_EQ(dispatch.extract_data(cw), poly.extract_data(cw));
-    expect_same_decode(dispatch.decode(cw), poly.decode(cw), "clean");
-    // Corrupt within the scheme's used wires and compare again.
-    cw.flip(static_cast<unsigned>(rng.next_below(dispatch.used_wires())));
-    if (rng.next_below(2) == 1) {
-      cw.flip(static_cast<unsigned>(rng.next_below(dispatch.used_wires())));
-    }
-    const DecodeResult f = dispatch.decode(cw);
-    expect_same_decode(f, poly.decode(cw), "faulted");
-    if (!f.has_valid_data()) {
-      EXPECT_EQ(f.data, 0u) << "uncorrectable data must be zeroed";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSchemes, DispatchEquivalence,
-                         ::testing::Values(EccScheme::kSecded,
-                                           EccScheme::kParity,
-                                           EccScheme::kNone));
 
 // A parity link fed an odd-weight error reports kDetectedMultiple and must
 // not leak the corrupted word through DecodeResult.data.
