@@ -157,7 +157,8 @@ void InputUnit::note_clean_wire(Cycle now, PacketId packet, int seq,
   // cascade. A worklist keeps the cascade out of the station walk: resolving
   // recursively while holding a station_ iterator erases from the vector
   // under the walk and invalidates it.
-  std::vector<CachedWire> pending{{packet, seq, wire_word}};
+  std::vector<CachedWire>& pending = wire_worklist_;  // reused, no allocation
+  pending.assign(1, CachedWire{packet, seq, wire_word});
   while (!pending.empty()) {
     const CachedWire w = pending.back();
     pending.pop_back();
@@ -228,6 +229,7 @@ void InputUnit::deliver(Cycle effective_arrival, Flit f) {
   if (stream == nullptr) {
     stream = &b.streams.emplace_back();
     stream->packet = f.packet;
+    busy_vcs_ |= 1u << f.vc;
   }
 
   stream_insert(*stream, f, effective_arrival);
@@ -261,6 +263,7 @@ InputUnit::PurgeResult InputUnit::purge_packet(Cycle now, PacketId p) {
       }
       b.streams.erase_at(si);
     }
+    if (b.streams.empty()) busy_vcs_ &= ~(1u << vc);
   }
   // Scramble station: entries of the packet itself, and entries stranded by
   // the loss of their partner.
@@ -317,6 +320,7 @@ Flit InputUnit::pop_front_flit(Cycle now, int vc) {
     HTNOC_INVARIANT(s.next_seq == f.length);
     HTNOC_INVARIANT(s.flit_count == 0);
     b.streams.pop_front();
+    if (b.streams.empty()) busy_vcs_ &= ~(1u << vc);
   }
   return f;
 }

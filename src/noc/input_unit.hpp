@@ -11,7 +11,8 @@
 // in this port's FlitArena and streams thread through it as seq-sorted
 // intrusive lists of generation-checked handles, so stepping never
 // allocates and the stream metadata the router's RC/VA/SA stages scan every
-// cycle is a small contiguous ring per VC.
+// cycle is a small contiguous ring per VC. A busy-VC bit mask names the VCs
+// holding any stream, so those stages visit only VCs with work.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +87,9 @@ class InputUnit {
         codec_(cfg.ecc_scheme),
         router_(router),
         port_(port),
-        vcs_(static_cast<std::size_t>(cfg.vcs_per_port)) {}
+        vcs_(static_cast<std::size_t>(cfg.vcs_per_port)) {
+    HTNOC_EXPECT(cfg.vcs_per_port <= 32);  // busy_vcs() is a 32-bit mask
+  }
 
   void connect(Link* in_link) {
     HTNOC_EXPECT(in_link != nullptr);
@@ -105,9 +108,10 @@ class InputUnit {
   /// Drain phase of the two-phase step: pop this cycle's due phits off the
   /// link into unit-local staging. Pure pops — no decoding, no sends, no
   /// trace events — so concurrent shards never write a queue another shard
-  /// reads (see Network::step).
-  void drain_link(Cycle now) {
+  /// reads (see Network::step). Returns true when any phit is staged.
+  bool drain_link(Cycle now) {
     if (link_ != nullptr) link_->drain_arrivals(now, staged_arrivals_);
+    return !staged_arrivals_.empty();
   }
 
   /// Compute phase: decode, ack/nack, de-obfuscate and buffer the staged
@@ -137,6 +141,9 @@ class InputUnit {
   }
 
   [[nodiscard]] int num_vcs() const { return cfg_.vcs_per_port; }
+  /// Bit v is set iff VC v holds at least one packet stream. Derived state:
+  /// kept by deliver/pop_front_flit/purge_packet, rebuilt on snapshot load.
+  [[nodiscard]] std::uint32_t busy_vcs() const noexcept { return busy_vcs_; }
   [[nodiscard]] VcBuf& vcbuf(int vc) { return vcs_[static_cast<std::size_t>(vc)]; }
   [[nodiscard]] const VcBuf& vcbuf(int vc) const {
     return vcs_[static_cast<std::size_t>(vc)];
@@ -266,6 +273,13 @@ class InputUnit {
   void note_clean_wire(Cycle now, PacketId packet, int seq, std::uint64_t wire);
   /// Seq-sorted insertion into a stream's arena list.
   void stream_insert(PacketStream& s, const Flit& f, Cycle arrival);
+  /// Recompute busy_vcs_ from the VC buffers (snapshot load).
+  void rebuild_busy_vcs() {
+    busy_vcs_ = 0;
+    for (std::size_t v = 0; v < vcs_.size(); ++v) {
+      if (!vcs_[v].streams.empty()) busy_vcs_ |= 1u << v;
+    }
+  }
 
   struct StationEntry {
     LinkPhit phit;
@@ -291,9 +305,13 @@ class InputUnit {
   std::uint16_t trace_node_ = 0;
   pool::FlitArena arena_;  ///< Owns every VC-buffered flit of this port.
   std::vector<VcBuf> vcs_;
+  std::uint32_t busy_vcs_ = 0;  ///< See busy_vcs().
   std::vector<LinkPhit> staged_arrivals_;  ///< Drained, not yet processed.
   std::vector<StationEntry> station_;
   pool::Ring<CachedWire> wire_cache_;
+  /// note_clean_wire's cascade worklist: persistent scratch, reset on every
+  /// call, never serialized.
+  std::vector<CachedWire> wire_worklist_;
   Stats stats_;
 };
 

@@ -19,6 +19,13 @@ std::unique_ptr<Topology> validated_topology(const NocConfig& cfg) {
   cfg.validate();
   return make_topology(cfg);
 }
+
+/// Shard `s` of `shards` contiguous, ascending ranges over `n` units.
+std::pair<std::size_t, std::size_t> shard_range(std::size_t n, int s,
+                                                std::size_t shards) {
+  const auto su = static_cast<std::size_t>(s);
+  return {n * su / shards, n * (su + 1) / shards};
+}
 }  // namespace
 
 std::string Network::link_name(RouterId from, Direction d) {
@@ -128,23 +135,20 @@ void Network::step() {
       shard_ni_events_.resize(static_cast<std::size_t>(shards));
     }
     const std::size_t sh = static_cast<std::size_t>(shards);
-    const auto rrange = [&](std::size_t s) {
-      return std::pair{nr * s / sh, nr * (s + 1) / sh};
-    };
-    const auto crange = [&](std::size_t s) {
-      return std::pair{nc * s / sh, nc * (s + 1) / sh};
-    };
-    pool_->run([&](int s) {
-      const auto [rlo, rhi] = rrange(static_cast<std::size_t>(s));
-      const auto [clo, chi] = crange(static_cast<std::size_t>(s));
+    // Both phase functions capture only [this, sh], which fits
+    // std::function's small-object buffer: dispatching a phase allocates
+    // nothing (tests/test_step_allocations.cpp).
+    pool_->run([this, sh](int s) {
+      const auto [rlo, rhi] = shard_range(routers_.size(), s, sh);
+      const auto [clo, chi] = shard_range(nis_.size(), s, sh);
       drain_range(rlo, rhi, clo, chi);
     });
     // Phase barrier: every due message is staged, nothing more arrives
     // this cycle. Phase 2's link interactions are pushes only.
-    pool_->run([&](int s) {
+    pool_->run([this, sh](int s) {
       const auto su = static_cast<std::size_t>(s);
-      const auto [rlo, rhi] = rrange(su);
-      const auto [clo, chi] = crange(su);
+      const auto [rlo, rhi] = shard_range(routers_.size(), s, sh);
+      const auto [clo, chi] = shard_range(nis_.size(), s, sh);
       // Stage this worker's trace records per shard; reset on every exit
       // path so a contract violation cannot leave a dangling redirect.
       struct StageReset {
@@ -176,8 +180,10 @@ void Network::step() {
 
   // Staged delivery/audit notifications flush on this thread in core order
   // — the serial call sequence (callbacks mutate traffic-layer state the
-  // workers must not touch).
-  for (auto& ni : nis_) ni->flush_ejections(now_);
+  // workers must not touch). Only NIs that stepped this cycle staged any.
+  for (std::size_t i = 0; i < nc; ++i) {
+    if (ni_active_[i] != 0) nis_[i]->flush_ejections(now_);
+  }
 
   for (std::size_t i = 0; i < nr; ++i) {
     if (router_active_[i] != 0) {

@@ -1,5 +1,7 @@
 #include "noc/ni.hpp"
 
+#include <bit>
+
 #include "noc/flit.hpp"
 
 namespace htnoc {
@@ -141,8 +143,10 @@ void NetworkInterface::step_ejection(Cycle now) {
   // Drain everything forwardable; the NI consumes flits as fast as the
   // router can deliver them (reassembly buffers are not the bottleneck the
   // paper studies). Audit/delivery notifications are staged, not invoked —
-  // they touch shared observer state (see flush_ejections).
-  for (int vc = 0; vc < cfg_.vcs_per_port; ++vc) {
+  // they touch shared observer state (see flush_ejections). VCs without a
+  // stream have nothing to eject.
+  for (std::uint32_t m = in_.busy_vcs(); m != 0; m &= m - 1) {
+    const int vc = std::countr_zero(m);
     while (in_.front_flit_ready(now, vc)) {
       PendingEjection pe;
       pe.flit = in_.pop_front_flit(now, vc);

@@ -62,7 +62,7 @@ int OutputUnit::find_slot(PacketId packet, int seq, SlotState state) {
 
 bool OutputUnit::plan_lt(Cycle now) {
   planned_slot_ = -1;
-  if (link_ == nullptr || !link_->can_send(now)) return false;
+  if (meta_.empty() || link_ == nullptr || !link_->can_send(now)) return false;
 
   // Oldest eligible waiting slot wins; retransmissions are naturally the
   // oldest entries, giving them the priority the protocol needs.

@@ -177,11 +177,12 @@ class OutputUnit {
 
   /// Drain phase of the two-phase step: pop this cycle's due credits and
   /// ACK/NACKs off the reverse channel into unit-local staging (pure pops;
-  /// see Network::step).
-  void drain_control(Cycle now) {
-    if (link_ == nullptr) return;
+  /// see Network::step). Returns true when any message is staged.
+  bool drain_control(Cycle now) {
+    if (link_ == nullptr) return false;
     link_->drain_credits(now, staged_credits_);
     link_->drain_acks(now, staged_acks_);
+    return !staged_credits_.empty() || !staged_acks_.empty();
   }
 
   /// Compute phase: apply the staged credit returns and ACK/NACKs.

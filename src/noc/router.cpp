@@ -1,16 +1,26 @@
 #include "noc/router.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <span>
+#include <utility>
 
 #include "noc/protocol.hpp"
 
 namespace htnoc {
+
+namespace {
+void set_bit(std::uint64_t* words, int i) {
+  words[i / 64] |= std::uint64_t{1} << (i % 64);
+}
+}  // namespace
 
 Router::Router(const NocConfig& cfg, RouterId id,
                const RoutingFunction* routing)
     : cfg_(cfg), id_(id), routing_(routing), codec_(cfg.ecc_scheme) {
   HTNOC_EXPECT(routing != nullptr);
   const int ports = cfg_.ports_per_router();
+  HTNOC_EXPECT(ports <= 32);  // port masks are 32-bit
   inputs_.reserve(static_cast<std::size_t>(ports));
   outputs_.reserve(static_cast<std::size_t>(ports));
   for (int p = 0; p < ports; ++p) {
@@ -25,15 +35,14 @@ Router::Router(const NocConfig& cfg, RouterId id,
   sa_output_arbiters_.assign(static_cast<std::size_t>(ports),
                              RoundRobinArbiter(ports));
   // Arbitration scratch is sized once here and reused every cycle; the
-  // request bitmaps are all-false between stage calls (each stage wipes
+  // request masks are all-zero between stage calls (each stage wipes
   // exactly the rows it touched).
-  va_requests_.assign(static_cast<std::size_t>(nreq),
-                      std::vector<bool>(static_cast<std::size_t>(nreq), false));
-  va_any_.assign(static_cast<std::size_t>(nreq), false);
-  va_touched_.reserve(static_cast<std::size_t>(nreq));
+  va_words_ = RoundRobinArbiter::words_for(nreq);
+  va_req_.assign(static_cast<std::size_t>(nreq * va_words_), 0);
+  va_pending_.assign(
+      static_cast<std::size_t>(RoundRobinArbiter::words_for(nreq)), 0);
   sa_winner_vc_.assign(static_cast<std::size_t>(ports), -1);
-  sa_vc_req_.assign(static_cast<std::size_t>(cfg_.vcs_per_port), false);
-  sa_port_req_.assign(static_cast<std::size_t>(ports), false);
+  sa_out_req_.assign(static_cast<std::size_t>(ports), 0);
   lane_cw_.reserve(static_cast<std::size_t>(ports));
   lane_res_.reserve(static_cast<std::size_t>(ports));
   lane_words_.reserve(static_cast<std::size_t>(ports));
@@ -57,14 +66,22 @@ void Router::set_trace(trace::Tap tap) {
 }
 
 void Router::drain(Cycle now) {
-  for (auto& out : outputs_) out->drain_control(now);
-  for (auto& in : inputs_) in->drain_link(now);
+  for (std::size_t p = 0; p < outputs_.size(); ++p) {
+    if (outputs_[p]->drain_control(now)) ctrl_ports_ |= 1u << p;
+  }
+  for (std::size_t p = 0; p < inputs_.size(); ++p) {
+    if (inputs_[p]->drain_link(now)) bw_ports_ |= 1u << p;
+  }
 }
 
 void Router::compute(Cycle now) {
   // Reverse-channel control first so freed slots/credits are usable this
-  // cycle (they were sent >= 1 cycle ago).
-  for (auto& out : outputs_) out->process_staged_control(now);
+  // cycle (they were sent >= 1 cycle ago). Ports that staged nothing have
+  // nothing to apply.
+  for (std::uint32_t m = std::exchange(ctrl_ports_, 0); m != 0; m &= m - 1) {
+    outputs_[static_cast<std::size_t>(std::countr_zero(m))]
+        ->process_staged_control(now);
+  }
   // BW: accept phit arrivals into input buffers, SECDED-decoding all ports'
   // staged codewords as one contiguous lane batch.
   batched_bw(now);
@@ -79,19 +96,22 @@ void Router::batched_bw(Cycle now) {
   // batch (one scheme dispatch, contiguous LUT passes), then let each port
   // consume its slice. Per-port behavior — ACK/NACK order, detector
   // callbacks, trace events — is identical to per-phit decoding because the
-  // decode is pure and the slices preserve staging order.
+  // decode is pure and the slices preserve staging order. Only the ports
+  // drain() saw stage phits take part.
+  const std::uint32_t ports = std::exchange(bw_ports_, 0);
+  if (ports == 0) return;
   lane_cw_.clear();
-  for (auto& in : inputs_) in->append_staged_codewords(lane_cw_);
-  if (lane_cw_.empty()) {
-    for (auto& in : inputs_) in->process_staged(now);
-    return;
+  for (std::uint32_t m = ports; m != 0; m &= m - 1) {
+    inputs_[static_cast<std::size_t>(std::countr_zero(m))]
+        ->append_staged_codewords(lane_cw_);
   }
   lane_res_.resize(lane_cw_.size());
   codec_.decode_batch(lane_cw_.data(), lane_res_.data(), lane_cw_.size());
   std::size_t offset = 0;
-  for (auto& in : inputs_) {
-    const std::size_t n = in->staged_count();
-    in->process_staged(now, n > 0 ? lane_res_.data() + offset : nullptr);
+  for (std::uint32_t m = ports; m != 0; m &= m - 1) {
+    InputUnit& in = *inputs_[static_cast<std::size_t>(std::countr_zero(m))];
+    const std::size_t n = in.staged_count();
+    in.process_staged(now, lane_res_.data() + offset);
     offset += n;
   }
 }
@@ -127,10 +147,9 @@ void Router::step(Cycle now) {
 
 void Router::stage_rc(Cycle now) {
   for (auto& in : inputs_) {
-    for (int vc = 0; vc < cfg_.vcs_per_port; ++vc) {
-      auto& buf = in->vcbuf(vc);
-      if (buf.streams.empty()) continue;
-      auto& stream = buf.streams.front();
+    for (std::uint32_t m = in->busy_vcs(); m != 0; m &= m - 1) {
+      const int vc = std::countr_zero(m);
+      auto& stream = in->vcbuf(vc).streams.front();
       if (stream.state != InputUnit::PacketStream::State::kNeedRoute) continue;
       if (!stream.head_present()) continue;
       const Flit& head = in->front_flit(vc);
@@ -152,19 +171,18 @@ void Router::stage_rc(Cycle now) {
 
 void Router::stage_va(Cycle now) {
   const int ports = num_ports();
-  const int nreq = ports * cfg_.vcs_per_port;
 
-  // Each waiting input VC nominates one candidate output VC.
-  // va_requests_[va_arbiter_index] is the bitmap of requesting
-  // (in_port, in_vc); rows are persistent scratch, all-false on entry.
+  // Each waiting input VC nominates one candidate output VC: it sets its
+  // requester bit in that output VC's arbiter row and marks the arbiter
+  // pending. Rows are persistent scratch, all-zero on entry.
   for (int ip = 0; ip < ports; ++ip) {
-    for (int ivc = 0; ivc < cfg_.vcs_per_port; ++ivc) {
-      auto& buf = inputs_[static_cast<std::size_t>(ip)]->vcbuf(ivc);
-      if (buf.streams.empty()) continue;
-      auto& stream = buf.streams.front();
+    InputUnit& in = *inputs_[static_cast<std::size_t>(ip)];
+    for (std::uint32_t m = in.busy_vcs(); m != 0; m &= m - 1) {
+      const int ivc = std::countr_zero(m);
+      auto& stream = in.vcbuf(ivc).streams.front();
       if (stream.state != InputUnit::PacketStream::State::kWaitVA) continue;
       if (stream.va_eligible > now) continue;
-      const Flit& head = inputs_[static_cast<std::size_t>(ip)]->front_flit(ivc);
+      const Flit& head = in.front_flit(ivc);
       const auto [lo, hi] = allowed_vc_range(head.pclass, head.domain, cfg_);
       OutputUnit& out = *outputs_[static_cast<std::size_t>(stream.out_port)];
       int candidate = -1;
@@ -179,56 +197,52 @@ void Router::stage_va(Cycle now) {
         continue;  // all output VCs of the class are held
       }
       const int ai = va_arbiter_index(stream.out_port, candidate);
-      va_requests_[static_cast<std::size_t>(ai)]
-                  [static_cast<std::size_t>(requester_index(ip, ivc))] = true;
-      if (!va_any_[static_cast<std::size_t>(ai)]) {
-        va_any_[static_cast<std::size_t>(ai)] = true;
-        va_touched_.push_back(ai);
-      }
+      set_bit(&va_req_[static_cast<std::size_t>(ai * va_words_)],
+              requester_index(ip, ivc));
+      set_bit(va_pending_.data(), ai);
     }
   }
-  if (va_touched_.empty()) return;
 
-  for (int ai = 0; ai < nreq; ++ai) {
-    if (!va_any_[static_cast<std::size_t>(ai)]) continue;
-    RoundRobinArbiter& arb = va_arbiters_[static_cast<std::size_t>(ai)];
-    const int winner = arb.arbitrate(va_requests_[static_cast<std::size_t>(ai)]);
-    if (winner < 0) continue;
-    arb.update(winner);
-    const int ip = winner / cfg_.vcs_per_port;
-    const int ivc = winner % cfg_.vcs_per_port;
-    const int out_port = ai / cfg_.vcs_per_port;
-    const int out_vc = ai % cfg_.vcs_per_port;
-    auto& stream = inputs_[static_cast<std::size_t>(ip)]->vcbuf(ivc).streams.front();
-    outputs_[static_cast<std::size_t>(out_port)]->allocate_vc(out_vc);
-    stream.out_vc = out_vc;
-    stream.state = InputUnit::PacketStream::State::kActive;
-    stream.sa_eligible = now + static_cast<Cycle>(cfg_.stage_va);
-    ++stats_.va_grants;
+  // Grant per pending arbiter, ascending, wiping each row after use. An
+  // input VC bids for one arbiter only, so the grants are disjoint.
+  for (std::size_t w = 0; w < va_pending_.size(); ++w) {
+    for (std::uint64_t m = std::exchange(va_pending_[w], 0); m != 0;
+         m &= m - 1) {
+      const int ai = static_cast<int>(w) * 64 + std::countr_zero(m);
+      const std::span<std::uint64_t> row(
+          &va_req_[static_cast<std::size_t>(ai * va_words_)],
+          static_cast<std::size_t>(va_words_));
+      RoundRobinArbiter& arb = va_arbiters_[static_cast<std::size_t>(ai)];
+      const int winner = arb.arbitrate(row);
+      std::fill(row.begin(), row.end(), 0);
+      arb.update(winner);
+      const int ip = winner / cfg_.vcs_per_port;
+      const int ivc = winner % cfg_.vcs_per_port;
+      const int out_port = ai / cfg_.vcs_per_port;
+      const int out_vc = ai % cfg_.vcs_per_port;
+      auto& stream =
+          inputs_[static_cast<std::size_t>(ip)]->vcbuf(ivc).streams.front();
+      outputs_[static_cast<std::size_t>(out_port)]->allocate_vc(out_vc);
+      stream.out_vc = out_vc;
+      stream.state = InputUnit::PacketStream::State::kActive;
+      stream.sa_eligible = now + static_cast<Cycle>(cfg_.stage_va);
+      ++stats_.va_grants;
+    }
   }
-
-  // Leave the scratch all-false for the next cycle.
-  for (const int ai : va_touched_) {
-    auto& row = va_requests_[static_cast<std::size_t>(ai)];
-    std::fill(row.begin(), row.end(), false);
-    va_any_[static_cast<std::size_t>(ai)] = false;
-  }
-  va_touched_.clear();
 }
 
 void Router::stage_sa_st(Cycle now) {
   const int ports = num_ports();
 
-  // Stage 1: each input port picks one ready VC. sa_vc_req_ is persistent
-  // scratch, wiped per port after arbitration.
-  std::fill(sa_winner_vc_.begin(), sa_winner_vc_.end(), -1);
+  // Stage 1: each input port picks one ready VC, and its winner bids for
+  // the winner's output port in that output's stage-2 request mask.
+  std::uint32_t bid_outputs = 0;
   for (int ip = 0; ip < ports; ++ip) {
     InputUnit& in = *inputs_[static_cast<std::size_t>(ip)];
-    bool any = false;
-    for (int ivc = 0; ivc < cfg_.vcs_per_port; ++ivc) {
-      auto& buf = in.vcbuf(ivc);
-      if (buf.streams.empty()) continue;
-      auto& stream = buf.streams.front();
+    std::uint64_t req = 0;
+    for (std::uint32_t m = in.busy_vcs(); m != 0; m &= m - 1) {
+      const int ivc = std::countr_zero(m);
+      const auto& stream = in.vcbuf(ivc).streams.front();
       if (stream.state != InputUnit::PacketStream::State::kActive) continue;
       if (stream.sa_eligible > now) continue;
       if (!in.front_flit_ready(now, ivc)) continue;
@@ -241,43 +255,29 @@ void Router::stage_sa_st(Cycle now) {
         ++stats_.sa_stalls_no_credit;
         continue;
       }
-      sa_vc_req_[static_cast<std::size_t>(ivc)] = true;
-      any = true;
+      req |= std::uint64_t{1} << ivc;
       ++stats_.sa_requests;
     }
-    if (!any) continue;
+    if (req == 0) continue;
     RoundRobinArbiter& arb = sa_input_arbiters_[static_cast<std::size_t>(ip)];
-    const int w = arb.arbitrate(sa_vc_req_);
-    if (w >= 0) {
-      arb.update(w);
-      sa_winner_vc_[static_cast<std::size_t>(ip)] = w;
-    }
-    std::fill(sa_vc_req_.begin(), sa_vc_req_.end(), false);
+    const int w = arb.arbitrate(req);
+    arb.update(w);
+    sa_winner_vc_[static_cast<std::size_t>(ip)] = w;
+    const int op = in.vcbuf(w).streams.front().out_port;
+    sa_out_req_[static_cast<std::size_t>(op)] |= 1u << ip;
+    bid_outputs |= 1u << op;
   }
 
-  // Stage 2: each output port picks one winning input port.
-  for (int op = 0; op < ports; ++op) {
-    bool any = false;
-    for (int ip = 0; ip < ports; ++ip) {
-      const int ivc = sa_winner_vc_[static_cast<std::size_t>(ip)];
-      if (ivc < 0) continue;
-      const auto& stream =
-          inputs_[static_cast<std::size_t>(ip)]->vcbuf(ivc).streams.front();
-      if (stream.out_port == op) {
-        sa_port_req_[static_cast<std::size_t>(ip)] = true;
-        any = true;
-      }
-    }
-    if (!any) continue;
+  // Stage 2: each output port with a bid picks one input port, ascending.
+  for (; bid_outputs != 0; bid_outputs &= bid_outputs - 1) {
+    const int op = std::countr_zero(bid_outputs);
     RoundRobinArbiter& arb = sa_output_arbiters_[static_cast<std::size_t>(op)];
-    const int ip = arb.arbitrate(sa_port_req_);
-    std::fill(sa_port_req_.begin(), sa_port_req_.end(), false);
-    if (ip < 0) continue;
+    const int ip = arb.arbitrate(
+        std::exchange(sa_out_req_[static_cast<std::size_t>(op)], 0));
     arb.update(ip);
 
     // ST: move the flit through the crossbar into the retransmission buffer.
     const int ivc = sa_winner_vc_[static_cast<std::size_t>(ip)];
-    sa_winner_vc_[static_cast<std::size_t>(ip)] = -1;  // one grant per input
     InputUnit& in = *inputs_[static_cast<std::size_t>(ip)];
     auto& stream = in.vcbuf(ivc).streams.front();
     const int out_vc = stream.out_vc;

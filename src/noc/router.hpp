@@ -5,6 +5,10 @@
 //   ST     switch traversal into the output / retransmission buffer
 //   LT     link traversal                      (OutputUnit::step_lt)
 //
+// Each stage visits only the ports and VCs with work: RC, VA and SA walk
+// every input's busy-VC mask, the drain records which ports staged control
+// or phits, and the allocators arbitrate over request bit masks.
+//
 // Port numbering: 0..3 = N,S,E,W; 4..4+concentration-1 = local ports.
 #pragma once
 
@@ -80,12 +84,14 @@ class Router {
   void invalidate_waiting_routes();
 
   /// Drain phase of the two-phase step: pop due reverse-channel messages
-  /// and phit arrivals off every attached link into unit staging. Pure
-  /// pops; safe to run concurrently with other routers'/NIs' drains (each
-  /// deque has exactly one drainer — see Network::step).
+  /// and phit arrivals off every attached link into unit staging, noting
+  /// which ports staged anything. Pure pops; safe to run concurrently with
+  /// other routers'/NIs' drains (each deque has exactly one drainer — see
+  /// Network::step).
   void drain(Cycle now);
   /// Compute phase: control, arrivals, RC, VA, SA/ST, LT over the staged
-  /// messages. All link interactions are pushes (single writer).
+  /// messages (control and arrivals only on the ports drain() noted). All
+  /// link interactions are pushes (single writer).
   void compute(Cycle now);
 
   /// Advance one cycle: control, arrivals, RC, VA, SA/ST, LT (serial
@@ -157,20 +163,23 @@ class Router {
 
   // --- persistent per-cycle scratch (docs/PERFORMANCE.md) ---
   // The allocator stages and the batched ECC lanes reuse these arenas every
-  // cycle instead of re-allocating request bitmaps and lane buffers (the
-  // pre-pool code built ~800 request vectors per 4x4-fabric cycle). All are
-  // transient within one compute() call and never serialized.
+  // cycle instead of re-allocating request masks and lane buffers. All are
+  // transient within one step and never serialized; the masks are all-zero
+  // between steps.
   ecc::CodecDispatch codec_;             ///< Router-level batch codec.
   std::vector<Codeword72> lane_cw_;      ///< Gathered staged codewords.
   std::vector<ecc::DecodeResult> lane_res_;  ///< Batch-decoded results.
   std::vector<std::uint64_t> lane_words_;    ///< Planned LT words to encode.
   std::vector<int> lane_ports_;              ///< Output port per planned word.
-  std::vector<std::vector<bool>> va_requests_;  ///< Per-arbiter bitmaps.
-  std::vector<bool> va_any_;                    ///< Arbiters touched this cycle.
-  std::vector<int> va_touched_;                 ///< Touched-arbiter list.
-  std::vector<int> sa_winner_vc_;               ///< SA stage-1 winners.
-  std::vector<bool> sa_vc_req_;                 ///< SA stage-1 request bitmap.
-  std::vector<bool> sa_port_req_;               ///< SA stage-2 request bitmap.
+  int va_words_ = 1;  ///< 64-bit words per VA request row.
+  /// VA request rows, va_words_ words per arbiter: bit requester_index of
+  /// row va_arbiter_index is set when that input VC bids for that output VC.
+  std::vector<std::uint64_t> va_req_;
+  std::vector<std::uint64_t> va_pending_;  ///< Arbiters with a request.
+  std::vector<int> sa_winner_vc_;          ///< SA stage-1 winner per input.
+  std::vector<std::uint32_t> sa_out_req_;  ///< SA stage-2 bids per output.
+  std::uint32_t ctrl_ports_ = 0;  ///< Outputs that staged credits/ACKs.
+  std::uint32_t bw_ports_ = 0;    ///< Inputs that staged phits.
 
   Stats stats_;
 };

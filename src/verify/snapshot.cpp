@@ -428,6 +428,7 @@ struct StateCodec {
       });
       io_int(ar, vb.occupancy);
     }
+    if constexpr (Ar::kLoading) in.rebuild_busy_vcs();
     io_seq(ar, in.station_, [](Ar& a, auto& e) {
       StateCodec::io(a, e.phit);
       a.u64(e.decoded_word);
@@ -506,6 +507,12 @@ struct StateCodec {
       if (kind != 0) throw SnapshotError("arbiter kind mismatch");
     }
     io_int(ar, arb.next_);
+    if constexpr (Ar::kLoading) {
+      // The mask search indexes the request words by the pointer.
+      if (arb.next_ < 0 || arb.next_ >= arb.num_inputs_) {
+        throw SnapshotError("arbiter pointer out of range");
+      }
+    }
   }
 
   template <class Ar>
