@@ -6,14 +6,16 @@ between the `topo-scaling:begin` / `topo-scaling:end` markers in place,
 so the published curve always matches a real measurement:
 
     cmake --build build -j --target bench_topology_scaling
-    ./build/bench/bench_topology_scaling --benchmark_min_time=0.25 \
+    ./build/bench/bench_topology_scaling --benchmark_repetitions=5 \
         --benchmark_out=topo_scaling.json --benchmark_out_format=json
     python3 scripts/refresh_scaling_table.py topo_scaling.json
 
-ROADMAP item 1(d) asks for this to be rerun on a >= 8-core host; the
-environment note in the generated block records how many cores the
-measurement host actually had, so an under-provisioned rerun is visible
-in the doc rather than silently presented as a speedup curve.
+Each cell is the median over the per-repetition rows with the minimum
+beside it, so one slow repetition on a shared host shows as a low minimum
+instead of moving the headline number. The environment note in the
+generated block records how many cores the measurement host had, so an
+under-provisioned rerun is visible in the doc rather than silently
+presented as a speedup curve.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import pathlib
 import re
+import statistics
 import sys
 
 BEGIN = "<!-- topo-scaling:begin"
@@ -42,35 +45,33 @@ def thousands(x: float) -> str:
     return f"{int(round(x)):,}".replace(",", " ")
 
 
-def load_rates(path: pathlib.Path) -> tuple[dict[str, float], dict]:
-    """name -> items_per_second (median aggregate when present)."""
+def load_rates(path: pathlib.Path) -> tuple[dict[str, list[float]], dict]:
+    """name -> items_per_second of every repetition."""
     doc = json.loads(path.read_text())
-    rates: dict[str, float] = {}
-    have_medians = any(
-        b.get("aggregate_name") == "median" for b in doc["benchmarks"]
-    )
+    rates: dict[str, list[float]] = {}
     for bench in doc["benchmarks"]:
-        if have_medians:
-            if bench.get("aggregate_name") != "median":
-                continue
-            name = bench["run_name"]
-        else:
-            if bench.get("run_type") == "aggregate":
-                continue
-            name = bench["name"]
+        if bench.get("run_type") == "aggregate":
+            continue
         if "items_per_second" in bench:
             # "BM_MeshScaling/8/1/process_time/real_time" -> first three
             # segments; the modifier suffixes vary with benchmark flags.
-            rates["/".join(name.split("/")[:3])] = bench["items_per_second"]
+            name = "/".join(bench["name"].split("/")[:3])
+            rates.setdefault(name, []).append(bench["items_per_second"])
     return rates, doc.get("context", {})
 
 
-def build_block(rates: dict[str, float], context: dict,
-                min_time: str) -> str:
+def cell(values: list[float]) -> str:
+    """Median of the repetitions, then their minimum."""
+    return (f"{thousands(statistics.median(values))} "
+            f"({thousands(min(values))})")
+
+
+def build_block(rates: dict[str, list[float]], context: dict) -> str:
     cpus = context.get("num_cpus", "?")
+    reps = min((len(v) for v in rates.values()), default=0)
     note = (
-        f"Measured curve ({cpus}-core host, min_time {min_time} s;\n"
-        f"`BM_MeshScaling/k/threads`, cycles/sec):"
+        f"Measured curve ({cpus}-core host, {reps} repetitions;\n"
+        f"`BM_MeshScaling/k/threads`, cycles/sec, median (minimum)):"
     )
     lines = [
         BEGIN + " (scripts/refresh_scaling_table.py rewrites this block) -->",
@@ -88,7 +89,7 @@ def build_block(rates: dict[str, float], context: dict,
                 missing.append(name)
                 cells.append("—")
             else:
-                cells.append(thousands(rates[name]))
+                cells.append(cell(rates[name]))
         lines.append(f"| {label} | {routers} | " + " | ".join(cells) + " |")
     lines.append(END)
     if missing:
@@ -106,14 +107,12 @@ def main() -> None:
     ap.add_argument("--doc", type=pathlib.Path,
                     default=pathlib.Path(__file__).resolve().parent.parent
                     / "docs" / "SCALING.md")
-    ap.add_argument("--min-time", default="0.25",
-                    help="value to record in the environment note")
     ap.add_argument("--check", action="store_true",
                     help="fail instead of rewriting when the doc is stale")
     args = ap.parse_args()
 
     rates, context = load_rates(args.json_path)
-    block = build_block(rates, context, args.min_time)
+    block = build_block(rates, context)
 
     text = args.doc.read_text()
     pattern = re.compile(

@@ -135,17 +135,18 @@ void Network::step() {
       shard_ni_events_.resize(static_cast<std::size_t>(shards));
     }
     const std::size_t sh = static_cast<std::size_t>(shards);
-    // Both phase functions capture only [this, sh], which fits
-    // std::function's small-object buffer: dispatching a phase allocates
+    // One dispatch per cycle: every shard drains, the pool's barrier waits
+    // until every due message is staged and nothing more arrives this
+    // cycle, then every shard computes (phase 2's link interactions are
+    // pushes only). Both phase functions capture only [this, sh], which
+    // fits std::function's small-object buffer: a dispatch allocates
     // nothing (tests/test_step_allocations.cpp).
-    pool_->run([this, sh](int s) {
+    const auto drain = [this, sh](int s) {
       const auto [rlo, rhi] = shard_range(routers_.size(), s, sh);
       const auto [clo, chi] = shard_range(nis_.size(), s, sh);
       drain_range(rlo, rhi, clo, chi);
-    });
-    // Phase barrier: every due message is staged, nothing more arrives
-    // this cycle. Phase 2's link interactions are pushes only.
-    pool_->run([this, sh](int s) {
+    };
+    const auto compute = [this, sh](int s) {
       const auto su = static_cast<std::size_t>(s);
       const auto [rlo, rhi] = shard_range(routers_.size(), s, sh);
       const auto [clo, chi] = shard_range(nis_.size(), s, sh);
@@ -162,7 +163,8 @@ void Network::step() {
       for (std::size_t i = clo; i < chi; ++i) {
         if (ni_active_[i] != 0) nis_[i]->compute(now_);
       }
-    });
+    };
+    pool_->run(drain, compute);
     // Deterministic trace merge: shards own contiguous ascending unit
     // ranges, so router buffers in shard order then NI buffers in shard
     // order reproduce the serial emission order exactly.

@@ -57,12 +57,12 @@ class Network {
   /// forward latency is >= 1 and the reverse channel delays by exactly 1,
   /// nothing sent during a cycle is visible within it — so with
   /// cfg.step_threads > 1 the phases shard across a persistent worker pool
-  /// (contiguous router/NI ranges, one barrier between the phases) and the
-  /// result is bit-identical to serial: every deque has one drainer in
-  /// phase 1 and one writer in phase 2, trace events stage per shard and
-  /// merge in unit order, and delivery/audit callbacks stage per NI and
-  /// flush in core order on the calling thread. See docs/SCALING.md and
-  /// docs/ARCHITECTURE.md §11.
+  /// (contiguous router/NI ranges; one dispatch per cycle, with the
+  /// drain→compute barrier inside the pool) and the result is bit-identical
+  /// to serial: every deque has one drainer in phase 1 and one writer in
+  /// phase 2, trace events stage per shard and merge in unit order, and
+  /// delivery/audit callbacks stage per NI and flush in core order on the
+  /// calling thread. See docs/SCALING.md and docs/ARCHITECTURE.md §11.
   void step();
   void run(Cycle cycles) {
     for (Cycle i = 0; i < cycles; ++i) step();

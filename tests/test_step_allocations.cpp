@@ -6,10 +6,12 @@
 // step shows up as a non-zero count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -156,7 +158,8 @@ TEST(StepAllocations, LoadedCmesh4x4StepsWithoutAllocating) {
 }
 
 TEST(StepAllocations, LoadedCmesh4x4ShardedStepWithoutAllocating) {
-  // The parallel step dispatches two phases per cycle through StepPool.
+  // The parallel step makes one StepPool dispatch per cycle. On a host with
+  // at least 4 hardware threads its waits spin before they park.
   NocConfig cfg;
   cfg.step_threads = 4;
   EXPECT_EQ(allocations_in_step(cfg, 4, 2000, 3000), 0u);
@@ -168,6 +171,18 @@ TEST(StepAllocations, LoadedMesh8x8StepsWithoutAllocating) {
   cfg.mesh_width = 8;
   cfg.mesh_height = 8;
   cfg.concentration = 1;
+  EXPECT_EQ(allocations_in_step(cfg, 4, 2000, 3000), 0u);
+}
+
+TEST(StepAllocations, LoadedMesh8x8ParkingShardedStepWithoutAllocating) {
+  // More shards than hardware threads: every StepPool wait parks at once.
+  NocConfig cfg;
+  cfg.topology = TopologyKind::kMesh;
+  cfg.mesh_width = 8;
+  cfg.mesh_height = 8;
+  cfg.concentration = 1;
+  cfg.step_threads =
+      std::min(static_cast<int>(std::thread::hardware_concurrency()) + 1, 64);
   EXPECT_EQ(allocations_in_step(cfg, 4, 2000, 3000), 0u);
 }
 
