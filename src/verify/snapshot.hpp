@@ -10,6 +10,11 @@
 // the restored simulation then resumes bit-identically (same per-cycle
 // state digests, same trace bytes) at any step_threads setting.
 //
+// state_digest folds the very same field walk into one 64-bit word without
+// building a blob. It is the project's "bit-identical" yardstick: the
+// goldens, the parallel-step and snapshot round-trip suites compare it every
+// cycle, so "same results" covers every field a snapshot covers.
+//
 // The blob's envelope carries a fingerprint of the substrate configuration
 // (topology, buffer geometry, ECC/retransmission schemes, pipeline depths —
 // everything that shapes the serialized containers) so a blob can only be
@@ -61,6 +66,14 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 /// attach order) at the current cycle boundary. Throws SnapshotError when
 /// mid-cycle staging buffers are non-empty.
 [[nodiscard]] std::vector<std::uint8_t> save_snapshot(
+    const sim::Simulator& sim,
+    const std::vector<const traffic::TrafficGenerator*>& generators = {});
+
+/// Digest of everything save_snapshot would serialize (the simulator and
+/// `generators`, in order), folded one field at a time: a difference in any
+/// single field changes it. Not the envelope's payload digest. Throws
+/// SnapshotError wherever save_snapshot would.
+[[nodiscard]] std::uint64_t state_digest(
     const sim::Simulator& sim,
     const std::vector<const traffic::TrafficGenerator*>& generators = {});
 

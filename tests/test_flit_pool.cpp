@@ -15,7 +15,6 @@
 #include "sim/simulator.hpp"
 #include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
-#include "verify/census_digest.hpp"
 #include "verify/snapshot.hpp"
 
 namespace htnoc {
@@ -288,13 +287,13 @@ TEST(PoolSnapshot, MidScrambleStateRestoresBitIdentically) {
   Rig b(cfg);
   verify::load_snapshot(b.sim, {&b.gen}, blob);
   EXPECT_GT(scramble_station_holds(b.sim.network()), 0);
-  ASSERT_EQ(verify::state_digest(a.sim.network()),
-            verify::state_digest(b.sim.network()));
+  ASSERT_EQ(verify::state_digest(a.sim, {&a.gen}),
+            verify::state_digest(b.sim, {&b.gen}));
   for (Cycle c = 0; c < 200; ++c) {
     a.step(1);
     b.step(1);
-    ASSERT_EQ(verify::state_digest(a.sim.network()),
-              verify::state_digest(b.sim.network()))
+    ASSERT_EQ(verify::state_digest(a.sim, {&a.gen}),
+              verify::state_digest(b.sim, {&b.gen}))
         << "diverged " << (c + 1) << " cycles after the mid-scramble restore";
   }
   EXPECT_EQ(verify::save_snapshot(a.sim, {&a.gen}),

@@ -1,9 +1,10 @@
 // The parallel-step contract (Network::step, docs/SCALING.md): for any
-// step_threads value, a run's network state evolution, captured traces, and
+// step_threads value, a run's state evolution, captured traces, and
 // campaign summaries are byte-identical to the serial schedule. These tests
-// hash the full resident-flit census every cycle — not just end-of-run
-// counters — so a single divergently-ordered flit anywhere in the fabric
-// fails the run at the cycle it appears. The contract is fabric-agnostic,
+// take verify::state_digest every cycle — every field a snapshot holds, not
+// just end-of-run counters — so a single divergent flit, credit, arbiter
+// pointer or RNG word anywhere in the simulator fails the run at the cycle
+// it appears. The contract is fabric-agnostic,
 // so the state-evolution tests run on the paper's 4x4 concentrated mesh,
 // a plain 8x8 mesh and an 8x8 torus, plus a 64x64 mesh for the sharded
 // large-fabric regime.
@@ -21,7 +22,7 @@
 #include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
 #include "verify/campaign.hpp"
-#include "verify/census_digest.hpp"
+#include "verify/snapshot.hpp"
 
 namespace {
 
@@ -55,7 +56,8 @@ void apply(const Fabric& f, NocConfig& noc) {
 }
 
 struct RunDigest {
-  std::vector<std::uint64_t> per_cycle;  ///< state_digest after every cycle.
+  /// verify::state_digest (simulator + generator) after every cycle.
+  std::vector<std::uint64_t> per_cycle;
   Network::StepStats steps;
   std::uint64_t delivered = 0;
 };
@@ -94,7 +96,7 @@ RunDigest run_fabric(const Fabric& f, int step_threads, bool attacked,
   for (Cycle c = 0; c < cycles; ++c) {
     if (attacked) gen.step();
     simulator.step();
-    out.per_cycle.push_back(verify::state_digest(net));
+    out.per_cycle.push_back(verify::state_digest(simulator, {&gen}));
   }
   out.steps = net.step_stats();
   out.delivered = net.packets_delivered();
@@ -188,7 +190,7 @@ TEST(ParallelStepDeterminism, Mesh64x64ShardedStepMatchesSerialAndAuditsClean) {
         }
       }
       simulator.step();
-      out.per_cycle.push_back(verify::state_digest(net));
+      out.per_cycle.push_back(verify::state_digest(simulator));
     }
     out.steps = net.step_stats();
     out.delivered = net.packets_delivered();

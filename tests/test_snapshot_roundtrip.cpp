@@ -14,7 +14,6 @@
 #include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
 #include "verify/campaign.hpp"
-#include "verify/census_digest.hpp"
 #include "verify/snapshot.hpp"
 
 namespace htnoc {
@@ -62,6 +61,10 @@ struct Rig {
     return save_snapshot(sim, {&gen});
   }
 
+  [[nodiscard]] std::uint64_t digest() const {
+    return verify::state_digest(sim, {&gen});
+  }
+
   void load(const std::vector<std::uint8_t>& blob) {
     load_snapshot(sim, {&gen}, blob);
   }
@@ -86,11 +89,10 @@ sim::SimConfig attacked_config(int step_threads) {
   return cfg;
 }
 
-/// The heart of the tentpole: run A for `pre` cycles, snapshot, keep running
-/// A; restore the blob into a fresh B; every subsequent cycle's state digest
-/// must match, and at the end the two simulators must serialize to the very
-/// same bytes (covering stats, auditor ledger, trace ring, RNG streams —
-/// everything the digest does not reach).
+/// Run A for `pre` cycles, snapshot, keep running A; restore the blob into a
+/// fresh B. Every subsequent cycle's state digest (stats, auditor ledger,
+/// trace ring and RNG streams included) must match, and at the end the two
+/// simulators must serialize to the very same bytes.
 void expect_bitwise_resume(const sim::SimConfig& cfg, Cycle pre, Cycle post) {
   Rig a(cfg);
   a.step(pre);
@@ -98,18 +100,15 @@ void expect_bitwise_resume(const sim::SimConfig& cfg, Cycle pre, Cycle post) {
 
   Rig b(cfg);
   b.load(blob);
-  ASSERT_EQ(verify::state_digest(a.sim.network()),
-            verify::state_digest(b.sim.network()));
+  ASSERT_EQ(a.digest(), b.digest());
 
   for (Cycle c = 0; c < post; ++c) {
     a.step(1);
     b.step(1);
-    ASSERT_EQ(verify::state_digest(a.sim.network()),
-              verify::state_digest(b.sim.network()))
+    ASSERT_EQ(a.digest(), b.digest())
         << "diverged " << (c + 1) << " cycles after restore";
   }
-  EXPECT_EQ(a.save(), b.save())
-      << "post-resume serialized state differs beyond the census digest";
+  EXPECT_EQ(a.save(), b.save()) << "post-resume serialized state differs";
   ASSERT_NE(a.sim.auditor(), nullptr);
   EXPECT_TRUE(a.sim.auditor()->clean()) << a.sim.auditor()->report();
   EXPECT_TRUE(b.sim.auditor()->clean()) << b.sim.auditor()->report();
@@ -169,8 +168,7 @@ TEST(SnapshotRoundtrip, RestoreAcrossThreadCounts) {
   Rig b(attacked_config(8));
   b.load(blob);
   b.step(200);
-  EXPECT_EQ(verify::state_digest(a.sim.network()),
-            verify::state_digest(b.sim.network()));
+  EXPECT_EQ(a.digest(), b.digest());
 }
 
 TEST(SnapshotRoundtrip, CorruptPayloadRejected) {

@@ -18,7 +18,6 @@
 #include "sim/simulator.hpp"
 #include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
-#include "verify/census_digest.hpp"
 #include "verify/snapshot.hpp"
 
 namespace htnoc {
@@ -222,7 +221,8 @@ TEST_P(WorkMasks, SnapshotRestoredMidRun) {
   for (Cycle c = 0; c < 300; ++c) {
     a.run_checked(1);
     b.run_checked(1);
-    ASSERT_EQ(verify::state_digest(a.net()), verify::state_digest(b.net()))
+    ASSERT_EQ(verify::state_digest(a.sim, {&a.gen}),
+              verify::state_digest(b.sim, {&b.gen}))
         << "diverged " << (c + 1) << " cycles after the restore";
   }
 }
