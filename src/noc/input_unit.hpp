@@ -233,8 +233,8 @@ class InputUnit {
 
   /// Audit census: append every buffered flit (VC streams + scramble
   /// station), labelled with the caller-supplied identity. Iteration order
-  /// — VCs ascending, streams FIFO, flits seq-ascending — is part of the
-  /// census-digest contract and matches the pre-pool deque layout.
+  /// — VCs ascending, streams FIFO, flits seq-ascending — matches the
+  /// snapshot walk and the pre-pool deque layout.
   void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
                         std::int8_t port) const {
     for (const auto& v : vcs_) {

@@ -9,7 +9,7 @@
 //    that surface and serializes with the same byte layout as the deques it
 //    replaced.
 //  * Census/golden compatibility — iteration is strictly FIFO order, so
-//    collect_resident() and the per-cycle FNV-1a digests see the identical
+//    collect_resident() and the per-cycle state digests see the identical
 //    logical sequence the deque-based code produced.
 //  * Deterministic growth — arenas and rings regrow by doubling at exact,
 //    state-dependent points; no allocator decision depends on addresses or

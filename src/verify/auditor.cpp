@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/fnv.hpp"
+
 namespace htnoc::verify {
 
 const char* to_string(ViolationKind k) noexcept {
@@ -20,15 +22,10 @@ const char* to_string(ViolationKind k) noexcept {
 
 namespace {
 
-/// FNV-1a — a stable dedup key for string-valued violations.
-std::uint64_t hash_detail(const std::string& s) noexcept {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+/// Seed of the FNV-1a dedup keys for string-valued violations: the offset
+/// basis short of its last decimal digit, as the keys were first recorded.
+/// Keys land in the ledger and in snapshots, so the seed stays.
+constexpr std::uint64_t kDetailKeySeed = 1469598103934665603ULL;
 
 std::uint64_t uid_of(PacketId p, int seq) noexcept {
   return (static_cast<std::uint64_t>(p) << 8) ^
@@ -125,7 +122,8 @@ void NetworkInvariantAuditor::audit(Cycle now) {
   check_census(now);
   const std::string credit = net_.check_invariants();
   if (!credit.empty()) {
-    record(now, ViolationKind::kCreditConservation, hash_detail(credit),
+    record(now, ViolationKind::kCreditConservation,
+           fnv1a(credit.data(), credit.size(), kDetailKeySeed),
            kInvalidPacket, credit);
   }
   check_starvation(now);
