@@ -6,7 +6,7 @@
 //                --summary-md summary.md --repro-dir repros/
 //   campaign_cli --scenarios 10000 --shard 1/4 --shard-summary shard1.json
 //   campaign_cli --merge shard0.json shard1.json shard2.json shard3.json
-//                --dedup-report dedup.md
+//                --summary-md merged.md
 //   campaign_cli --repro "htnoc-campaign-repro seed=0x20260806 index=421"
 //   campaign_cli --repro repros/repro-421.txt
 //
@@ -39,13 +39,14 @@ void usage() {
          "                    [--summary-md FILE] [--shard-summary FILE]\n"
          "                    [--repro-dir DIR] [--quiet]\n"
          "       campaign_cli --merge SHARD.json... [--summary-md FILE]\n"
-         "                    [--dedup-report FILE] [--quiet]\n"
+         "                    [--quiet]\n"
          "       campaign_cli --repro SPEC-OR-FILE\n"
          "--spec loads a JSON campaign spec (docs/REPRODUCING.md, \"Spec\n"
          "files\"); other flags override on top of it.\n"
          "--shard runs one strided slice of the campaign; --shard-summary\n"
          "writes the shard's mergeable JSON document, and --merge combines\n"
-         "a complete shard set into the unsharded campaign verdict.\n";
+         "a complete shard set into the unsharded campaign verdict. A merge's\n"
+         "--summary-md lists failures by distinct violation signature.\n";
 }
 
 std::string read_file(const std::string& path) {
@@ -92,7 +93,6 @@ int main(int argc, char** argv) {
   spec.scenarios = 1000;
   std::string summary_md;
   std::string shard_summary;
-  std::string dedup_report;
   std::string repro_dir;
   std::string repro_arg;
   std::vector<std::string> merge_files;
@@ -165,8 +165,6 @@ int main(int argc, char** argv) {
         summary_md = value();
       } else if (flag == "--shard-summary") {
         shard_summary = value();
-      } else if (flag == "--dedup-report") {
-        dedup_report = value();
       } else if (flag == "--repro-dir") {
         repro_dir = value();
       } else if (flag == "--repro") {
@@ -196,22 +194,18 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      std::vector<htnoc::verify::ShardSummary> shards;
+      std::vector<htnoc::verify::CampaignSummary> shards;
       shards.reserve(merge_files.size());
       for (const std::string& path : merge_files) {
         shards.push_back(
             htnoc::verify::parse_shard_summary(read_file(path)));
       }
-      const htnoc::verify::MergedCampaign merged =
+      const htnoc::verify::CampaignSummary merged =
           htnoc::verify::merge_shards(shards);
       if (!quiet) std::cout << merged.summary_text();
-      bool written = true;
-      if (!summary_md.empty()) {
-        written &= write_artifact(summary_md, merged.summary_markdown());
-      }
-      if (!dedup_report.empty()) {
-        written &= write_artifact(dedup_report, merged.summary_markdown());
-      }
+      const bool written =
+          summary_md.empty() ||
+          write_artifact(summary_md, merged.signatures_markdown());
       return written && merged.failures.empty() ? 0 : 1;
     } catch (const std::exception& e) {
       std::cerr << "campaign_cli: " << e.what() << "\n";

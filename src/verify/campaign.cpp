@@ -18,6 +18,7 @@
 #include "topology/topology.hpp"
 #include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
+#include "verify/shard_merge.hpp"
 #include "verify/snapshot.hpp"
 
 namespace htnoc::verify {
@@ -127,38 +128,50 @@ trojan::TaspParams draw_tasp(Rng& rng, const NocConfig& noc) {
 
 /// All scenario randomness is drawn here, in one fixed order, from the
 /// index-derived RNG — the scenario is a pure function of (seed, index).
+///
+/// A snapshot-forking campaign (warmup_cycles > 0) pins the substrate to
+/// the warmup snapshot's default fabric and continues its blackscholes
+/// traffic, so it skips the structural draws (topology, concentration,
+/// buffers, retransmission, TDM, ECC) and the traffic-profile draws.
+/// Attacks, mitigation, background faults and the mid-run event schedule
+/// still randomize, with every scheduled cycle shifted past the warmup
+/// window: the restored network resumes at cycle warmup_cycles, and kill
+/// switches, storms and migration all key off the absolute network clock.
 Scenario draw_scenario(const CampaignSpec& spec, std::uint64_t index) {
   const std::uint64_t run_seed = sweep::derive_run_seed(spec.seed, index, 0);
   Rng rng(run_seed);
+  const Cycle warm = spec.warmup_cycles;
   Scenario s;
   sim::SimConfig& sc = s.config;
 
-  // Topology dimension — strictly opt-in. An empty list (the default) must
-  // consume zero draws so the default campaign's draw sequence, and with it
-  // every historical summary byte, stays identical (RNG-draw-order is a
-  // compatibility contract; see tests/test_campaign_topology.cpp).
-  if (!spec.topologies.empty()) {
-    sc.noc.topology =
-        spec.topologies[rng.next_below(spec.topologies.size())];
-    if (sc.noc.topology == TopologyKind::kMesh) {
-      const int k = rng.next_bool(0.5) ? 8 : 4;
-      sc.noc.mesh_width = k;
-      sc.noc.mesh_height = k;
+  if (warm == 0) {
+    // Topology dimension — strictly opt-in. An empty list (the default)
+    // must consume zero draws so the default campaign's draw sequence, and
+    // with it every historical summary byte, stays identical (RNG-draw-order
+    // is a compatibility contract; see tests/test_campaign_topology.cpp).
+    if (!spec.topologies.empty()) {
+      sc.noc.topology =
+          spec.topologies[rng.next_below(spec.topologies.size())];
+      if (sc.noc.topology == TopologyKind::kMesh) {
+        const int k = rng.next_bool(0.5) ? 8 : 4;
+        sc.noc.mesh_width = k;
+        sc.noc.mesh_height = k;
+      }
     }
-  }
 
-  sc.noc.concentration = rng.next_bool(0.5) ? 4 : 2;
-  if (sc.noc.topology == TopologyKind::kMesh) sc.noc.concentration = 1;
-  sc.noc.buffer_depth = rng.next_bool(0.5) ? 4 : 2;
-  sc.noc.retrans_scheme = rng.next_bool(0.5)
-                              ? RetransmissionScheme::kOutputBuffer
-                              : RetransmissionScheme::kPerVcBuffer;
-  sc.noc.tdm_enabled = rng.next_bool(0.2);
-  sc.noc.active_step = rng.next_bool(0.8);
-  const double eccd = rng.next_double();
-  sc.noc.ecc_scheme = eccd < 0.7   ? EccScheme::kSecded
-                      : eccd < 0.9 ? EccScheme::kParity
-                                   : EccScheme::kNone;
+    sc.noc.concentration = rng.next_bool(0.5) ? 4 : 2;
+    if (sc.noc.topology == TopologyKind::kMesh) sc.noc.concentration = 1;
+    sc.noc.buffer_depth = rng.next_bool(0.5) ? 4 : 2;
+    sc.noc.retrans_scheme = rng.next_bool(0.5)
+                                ? RetransmissionScheme::kOutputBuffer
+                                : RetransmissionScheme::kPerVcBuffer;
+    sc.noc.tdm_enabled = rng.next_bool(0.2);
+    sc.noc.active_step = rng.next_bool(0.8);
+    const double eccd = rng.next_double();
+    sc.noc.ecc_scheme = eccd < 0.7   ? EccScheme::kSecded
+                        : eccd < 0.9 ? EccScheme::kParity
+                                     : EccScheme::kNone;
+  }
   sc.seed = sweep::mix_seed(run_seed, 1);
   sc.noc.seed = sweep::mix_seed(run_seed, 2);
 
@@ -175,7 +188,7 @@ Scenario draw_scenario(const CampaignSpec& spec, std::uint64_t index) {
     sim::AttackSpec atk;
     atk.link = links[rng.next_below(links.size())];
     atk.tasp = draw_tasp(rng, sc.noc);
-    atk.enable_killsw_at = rng.next_in(50, 400);
+    atk.enable_killsw_at = warm + rng.next_in(50, 400);
     sc.attacks.push_back(atk);
   }
   // Kill-switch toggling mid-flight: off, then on again (the trojan FSM
@@ -222,13 +235,18 @@ Scenario draw_scenario(const CampaignSpec& spec, std::uint64_t index) {
     lob_force = to_string(m) + "/" + to_string(g);
   }
 
-  // Traffic.
-  s.profile = kProfiles[rng.next_below(std::size(kProfiles))];
-  s.rate_scale = 0.3 + 1.7 * rng.next_double();
-  if (sc.noc.tdm_enabled) {
-    s.background = true;
-    s.bg_profile = kProfiles[rng.next_below(std::size(kProfiles))];
-    s.bg_rate = 0.01 + 0.04 * rng.next_double();
+  // Traffic. A warmed scenario continues the snapshot's blackscholes
+  // generator, whose restored model state would override a drawn profile.
+  if (warm == 0) {
+    s.profile = kProfiles[rng.next_below(std::size(kProfiles))];
+    s.rate_scale = 0.3 + 1.7 * rng.next_double();
+    if (sc.noc.tdm_enabled) {
+      s.background = true;
+      s.bg_profile = kProfiles[rng.next_below(std::size(kProfiles))];
+      s.bg_rate = 0.01 + 0.04 * rng.next_double();
+    }
+  } else {
+    s.profile = "blackscholes";
   }
 
   s.cycles = rng.next_in(300, 1500);
@@ -238,14 +256,14 @@ Scenario draw_scenario(const CampaignSpec& spec, std::uint64_t index) {
   if (rng.next_bool(0.3)) {
     const std::uint64_t storms = rng.next_in(1, 20);
     for (std::uint64_t i = 0; i < storms; ++i) {
-      s.purge_storms.push_back(rng.next_in(50, s.cycles - 1));
+      s.purge_storms.push_back(warm + rng.next_in(50, s.cycles - 1));
     }
     std::sort(s.purge_storms.begin(), s.purge_storms.end());
   }
 
   // Hotspot migration under attack (the paper's OS-level complement).
   if (rng.next_bool(0.15)) {
-    s.migrate_at = rng.next_in(100, 300);
+    s.migrate_at = warm + rng.next_in(100, 300);
     s.migrate_to = static_cast<RouterId>(
         rng.next_below(static_cast<std::uint64_t>(sc.noc.num_routers())));
   }
@@ -259,126 +277,27 @@ Scenario draw_scenario(const CampaignSpec& spec, std::uint64_t index) {
   sc.noc.step_threads = spec.step_threads;
 
   std::ostringstream d;
-  d << "topo=" << to_string(sc.noc.topology) << sc.noc.mesh_width << "x"
-    << sc.noc.mesh_height << " mode=" << sim::to_string(sc.mode) << " ecc="
-    << to_string(sc.noc.ecc_scheme) << " conc=" << sc.noc.concentration
-    << " buf=" << sc.noc.buffer_depth
-    << " scheme=" << to_string(sc.noc.retrans_scheme)
-    << " tdm=" << (sc.noc.tdm_enabled ? 1 : 0)
-    << " astep=" << (sc.noc.active_step ? 1 : 0)
-    << " attacks=" << num_attacks << " toggles=" << s.toggles.size()
+  if (warm > 0) {
+    d << "warmup=" << warm << " mode=" << sim::to_string(sc.mode);
+  } else {
+    d << "topo=" << to_string(sc.noc.topology) << sc.noc.mesh_width << "x"
+      << sc.noc.mesh_height << " mode=" << sim::to_string(sc.mode) << " ecc="
+      << to_string(sc.noc.ecc_scheme) << " conc=" << sc.noc.concentration
+      << " buf=" << sc.noc.buffer_depth
+      << " scheme=" << to_string(sc.noc.retrans_scheme)
+      << " tdm=" << (sc.noc.tdm_enabled ? 1 : 0)
+      << " astep=" << (sc.noc.active_step ? 1 : 0);
+  }
+  d << " attacks=" << num_attacks << " toggles=" << s.toggles.size()
     << " transient=" << std::setprecision(3) << transient
     << " perm=" << permanent_wires << " lob=" << lob_force
     << " storms=" << s.purge_storms.size()
-    << " migrate=" << (s.migrate_at != 0 ? 1 : 0) << " profile=" << s.profile
-    << " rate=" << std::fixed << std::setprecision(2) << s.rate_scale
-    << " cycles=" << s.cycles;
-  s.descriptor = d.str();
-  return s;
-}
-
-/// Restricted draw for snapshot-forking campaigns (warmup_cycles > 0): the
-/// substrate is pinned to the warmup snapshot's default fabric, so none of
-/// the structural knobs (topology, concentration, buffers, retransmission,
-/// TDM, ECC) are drawn — but attacks, mitigation, background faults and the
-/// mid-run event schedule still randomize, with every scheduled cycle
-/// shifted past the warmup window (the restored network resumes at cycle
-/// `warmup_cycles`, and kill switches / storms / migration all key off the
-/// absolute network clock).
-Scenario draw_warmup_scenario(const CampaignSpec& spec, std::uint64_t index) {
-  const std::uint64_t run_seed = sweep::derive_run_seed(spec.seed, index, 0);
-  Rng rng(run_seed);
-  const Cycle warm = spec.warmup_cycles;
-  Scenario s;
-  sim::SimConfig& sc = s.config;
-
-  sc.seed = sweep::mix_seed(run_seed, 1);
-  sc.noc.seed = sweep::mix_seed(run_seed, 2);
-
-  const double moded = rng.next_double();
-  sc.mode = moded < 0.30   ? sim::MitigationMode::kNone
-            : moded < 0.65 ? sim::MitigationMode::kLOb
-                           : sim::MitigationMode::kReroute;
-  sc.reroute_latency = rng.next_in(20, 400);
-
-  const std::vector<LinkRef> links = mesh_links(sc.noc);
-  const std::uint64_t num_attacks = rng.next_below(4);
-  for (std::uint64_t a = 0; a < num_attacks; ++a) {
-    sim::AttackSpec atk;
-    atk.link = links[rng.next_below(links.size())];
-    atk.tasp = draw_tasp(rng, sc.noc);
-    atk.enable_killsw_at = warm + rng.next_in(50, 400);
-    sc.attacks.push_back(atk);
+    << " migrate=" << (s.migrate_at != 0 ? 1 : 0);
+  if (warm == 0) {
+    d << " profile=" << s.profile << " rate=" << std::fixed
+      << std::setprecision(2) << s.rate_scale;
   }
-  if (num_attacks > 0 && rng.next_bool(0.4)) {
-    for (std::size_t a = 0; a < sc.attacks.size(); ++a) {
-      const Cycle off = sc.attacks[a].enable_killsw_at + rng.next_in(50, 200);
-      s.toggles.push_back({off, a, false});
-      s.toggles.push_back({off + rng.next_in(50, 200), a, true});
-    }
-  }
-
-  double transient = 0.0;
-  if (rng.next_bool(0.5)) {
-    transient = std::pow(10.0, -(2.0 + 2.0 * rng.next_double()));
-    sc.transient_phit_fault_prob = transient;
-  }
-  std::uint64_t permanent_wires = 0;
-  if (rng.next_bool(0.15)) {
-    permanent_wires = rng.next_in(1, 3);
-    std::map<unsigned, bool> stuck;
-    while (stuck.size() < permanent_wires) {
-      stuck[static_cast<unsigned>(rng.next_below(72))] = rng.next_bool(0.5);
-    }
-    sc.permanent_faults.emplace_back(links[rng.next_below(links.size())],
-                                     std::move(stuck));
-  }
-
-  std::string lob_force = "-";
-  if (sc.mode == sim::MitigationMode::kLOb && rng.next_bool(0.4)) {
-    constexpr ObfMethod kMethods[] = {ObfMethod::kInvert, ObfMethod::kShuffle,
-                                      ObfMethod::kScramble};
-    constexpr ObfGranularity kGrans[] = {ObfGranularity::kHeader,
-                                         ObfGranularity::kFlit,
-                                         ObfGranularity::kPayload};
-    ObfMethod m = kMethods[rng.next_below(std::size(kMethods))];
-    ObfGranularity g = kGrans[rng.next_below(std::size(kGrans))];
-    if (m == ObfMethod::kScramble) g = ObfGranularity::kFlit;
-    sc.lob = mitigation::forced_lob_params(m, g);
-    lob_force = to_string(m) + "/" + to_string(g);
-  }
-
-  // Traffic continues from the snapshot's blackscholes generator; the
-  // profile is not drawn (the restored model state would override it).
-  s.profile = "blackscholes";
-
-  s.cycles = rng.next_in(300, 1500);
-
-  if (rng.next_bool(0.3)) {
-    const std::uint64_t storms = rng.next_in(1, 20);
-    for (std::uint64_t i = 0; i < storms; ++i) {
-      s.purge_storms.push_back(warm + rng.next_in(50, s.cycles - 1));
-    }
-    std::sort(s.purge_storms.begin(), s.purge_storms.end());
-  }
-
-  if (rng.next_bool(0.15)) {
-    s.migrate_at = warm + rng.next_in(100, 300);
-    s.migrate_to = static_cast<RouterId>(
-        rng.next_below(static_cast<std::uint64_t>(sc.noc.num_routers())));
-  }
-
-  sc.audit = spec.audit;
-  sc.audit.enabled = true;
-  sc.noc.step_threads = spec.step_threads;
-
-  std::ostringstream d;
-  d << "warmup=" << warm << " mode=" << sim::to_string(sc.mode)
-    << " attacks=" << num_attacks << " toggles=" << s.toggles.size()
-    << " transient=" << std::setprecision(3) << transient
-    << " perm=" << permanent_wires << " lob=" << lob_force
-    << " storms=" << s.purge_storms.size()
-    << " migrate=" << (s.migrate_at != 0 ? 1 : 0) << " cycles=" << s.cycles;
+  d << " cycles=" << s.cycles;
   s.descriptor = d.str();
   return s;
 }
@@ -418,8 +337,7 @@ ScenarioResult run_scenario_impl(const CampaignSpec& spec, std::uint64_t index,
   ScenarioResult res;
   res.index = index;
   const bool warmed = spec.warmup_cycles > 0;
-  Scenario sn = warmed ? draw_warmup_scenario(spec, index)
-                       : draw_scenario(spec, index);
+  Scenario sn = draw_scenario(spec, index);
   res.descriptor = sn.descriptor;
   const std::uint64_t run_seed = sweep::derive_run_seed(spec.seed, index, 0);
 
@@ -430,7 +348,7 @@ ScenarioResult run_scenario_impl(const CampaignSpec& spec, std::uint64_t index,
   disp.install(net);
 
   traffic::AppProfile profile = traffic::profile_by_name(sn.profile);
-  if (!warmed) profile.injection_rate *= sn.rate_scale;
+  profile.injection_rate *= sn.rate_scale;  // 1.0 when warmed
   traffic::AppTrafficModel model(net.geometry(), profile);
   traffic::TrafficGenerator::Params gp;
   gp.seed = warmed ? sweep::mix_seed(spec.seed, 13)
@@ -471,7 +389,7 @@ ScenarioResult run_scenario_impl(const CampaignSpec& spec, std::uint64_t index,
 
   // A warmed scenario resumes at the snapshot's cycle and plays its drawn
   // cycle budget on top; every scheduled event was drawn in absolute cycles.
-  const Cycle start = warmed ? spec.warmup_cycles : 0;
+  const Cycle start = spec.warmup_cycles;
   for (Cycle c = start; c < start + sn.cycles; ++c) {
     for (const Scenario::KillToggle& t : sn.toggles) {
       if (t.at == c) simulator.tasp(t.trojan).set_kill_switch(t.on);
@@ -525,10 +443,7 @@ ScenarioResult run_scenario_guarded(const CampaignSpec& spec,
     // scenario looked like; draw_scenario is deterministic and cannot throw
     // for an index the campaign already drew once.
     try {
-      res.descriptor = (spec.warmup_cycles > 0
-                            ? draw_warmup_scenario(spec, index)
-                            : draw_scenario(spec, index))
-                           .descriptor;
+      res.descriptor = draw_scenario(spec, index).descriptor;
     } catch (const std::exception&) {
     }
     return res;
@@ -650,80 +565,12 @@ std::string FaultCampaign::equivalence_report(CampaignSpec spec,
   return os.str();
 }
 
-namespace {
-
-std::string first_line(const std::string& s) {
-  const auto nl = s.find('\n');
-  return nl == std::string::npos ? s : s.substr(0, nl);
-}
-
-}  // namespace
-
 std::string CampaignResult::summary_text() const {
-  std::uint64_t delivered = 0, purged = 0, audits = 0, flits = 0;
-  for (const ScenarioResult& s : scenarios) {
-    delivered += s.delivered;
-    purged += s.purged;
-    audits += s.audits;
-    flits += s.flits_tracked;
-  }
-  std::ostringstream os;
-  os << "htnoc fault campaign seed=0x" << std::hex << spec.seed << std::dec
-     << " scenarios=" << scenarios.size();
-  // The shard token only appears on shard summaries, so an unsharded run's
-  // bytes are untouched (and are what merge_shards reconstructs).
-  if (spec.shard_count > 1) {
-    os << " shard=" << spec.shard_index << "/" << spec.shard_count;
-  }
-  os << "\n";
-  os << "failures=" << failures() << " delivered=" << delivered
-     << " purged=" << purged << " audits=" << audits
-     << " flits_tracked=" << flits << "\n";
-  for (const ScenarioResult& s : scenarios) {
-    if (s.ok) continue;
-    os << "FAIL " << format_repro({spec.seed, s.index, spec.warmup_cycles})
-       << " " << s.descriptor << "\n";
-    os << "  " << first_line(s.error) << "\n";
-  }
-  return os.str();
+  return summarize_shard(*this).summary_text();
 }
 
 std::string CampaignResult::summary_markdown() const {
-  std::uint64_t delivered = 0, purged = 0, audits = 0, flits = 0;
-  for (const ScenarioResult& s : scenarios) {
-    delivered += s.delivered;
-    purged += s.purged;
-    audits += s.audits;
-    flits += s.flits_tracked;
-  }
-  std::ostringstream os;
-  os << "| scenarios | failures | packets delivered | packets purged | "
-        "audit cycles | flits tracked |\n";
-  os << "|---|---|---|---|---|---|\n";
-  os << "| " << scenarios.size() << " | " << failures() << " | " << delivered
-     << " | " << purged << " | " << audits << " | " << flits << " |\n";
-  if (failures() > 0) {
-    os << "\n### Failing scenarios\n\n";
-    os << "| index | repro | scenario | first violation |\n";
-    os << "|---|---|---|---|\n";
-    std::size_t listed = 0;
-    for (const ScenarioResult& s : scenarios) {
-      if (s.ok) continue;
-      if (listed == 50) {
-        os << "| … | | " << (failures() - listed) << " more | |\n";
-        break;
-      }
-      os << "| " << s.index << " | `"
-         << format_repro({spec.seed, s.index, spec.warmup_cycles}) << "` | "
-         << s.descriptor << " | "
-         << first_line(s.error.find('\n') != std::string::npos
-                           ? s.error.substr(s.error.find('\n') + 1)
-                           : s.error)
-         << " |\n";
-      ++listed;
-    }
-  }
-  return os.str();
+  return summarize_shard(*this).failures_markdown();
 }
 
 }  // namespace htnoc::verify

@@ -128,11 +128,11 @@ struct CampaignResult {
     return n;
   }
 
-  /// Deterministic plain-text summary — byte-identical for a given
-  /// (seed, scenarios) at any thread count. Failing scenarios are listed
-  /// with their repro specs.
+  /// summarize_shard(*this).summary_text() (verify/shard_merge.hpp):
+  /// byte-identical for a given (seed, scenarios) at any thread count, with
+  /// failing scenarios listed with their repro specs.
   [[nodiscard]] std::string summary_text() const;
-  /// GitHub-flavoured markdown table for CI job summaries.
+  /// summarize_shard(*this).failures_markdown(), for CI job summaries.
   [[nodiscard]] std::string summary_markdown() const;
 };
 

@@ -30,6 +30,21 @@ std::string hex_string(std::uint64_t v) {
 
 [[noreturn]] void bad(const std::string& msg) { throw MergeError(msg); }
 
+/// The first concrete violation, or the error line when there is none.
+const std::string& first_violation(const ShardFailure& f) {
+  return f.violation.empty() ? f.error : f.violation;
+}
+
+/// The totals table both markdown summaries open with.
+void totals_markdown(std::ostream& os, const CampaignSummary& s) {
+  os << "| scenarios | failures | packets delivered | packets purged | "
+        "audit cycles | flits tracked |\n";
+  os << "|---|---|---|---|---|---|\n";
+  os << "| " << s.scenarios_run << " | " << s.failures.size() << " | "
+     << s.delivered << " | " << s.purged << " | " << s.audits << " | "
+     << s.flits_tracked << " |\n";
+}
+
 std::uint64_t get_u64(const json::Value& doc, const char* key) {
   const json::Value* v = doc.find(key);
   if (v == nullptr) bad(std::string("shard summary missing key: ") + key);
@@ -52,8 +67,8 @@ std::string get_str(const json::Value& doc, const char* key) {
 
 }  // namespace
 
-ShardSummary summarize_shard(const CampaignResult& result) {
-  ShardSummary s;
+CampaignSummary summarize_shard(const CampaignResult& result) {
+  CampaignSummary s;
   s.seed = result.spec.seed;
   s.scenarios = result.spec.scenarios;
   s.shard_index = result.spec.shard_index;
@@ -84,7 +99,7 @@ ShardSummary summarize_shard(const CampaignResult& result) {
   return s;
 }
 
-json::Value shard_summary_to_json(const ShardSummary& s) {
+json::Value shard_summary_to_json(const CampaignSummary& s) {
   json::Object o;
   o.emplace_back("seed", json::Value(hex_string(s.seed)));
   o.emplace_back("scenarios", json::Value(static_cast<double>(s.scenarios)));
@@ -115,8 +130,8 @@ json::Value shard_summary_to_json(const ShardSummary& s) {
   return json::Value(std::move(o));
 }
 
-ShardSummary shard_summary_from_json(const json::Value& doc) {
-  ShardSummary s;
+CampaignSummary shard_summary_from_json(const json::Value& doc) {
+  CampaignSummary s;
   s.seed = get_u64(doc, "seed");
   s.scenarios = get_u64(doc, "scenarios");
   s.shard_index = get_u64(doc, "shard_index");
@@ -151,7 +166,7 @@ ShardSummary shard_summary_from_json(const json::Value& doc) {
   return s;
 }
 
-ShardSummary parse_shard_summary(const std::string& text) {
+CampaignSummary parse_shard_summary(const std::string& text) {
   try {
     return shard_summary_from_json(json::parse(text));
   } catch (const json::ParseError& e) {
@@ -159,20 +174,19 @@ ShardSummary parse_shard_summary(const std::string& text) {
   }
 }
 
-MergedCampaign merge_shards(const std::vector<ShardSummary>& shards) {
+CampaignSummary merge_shards(const std::vector<CampaignSummary>& shards) {
   if (shards.empty()) bad("no shard summaries to merge");
-  const ShardSummary& head = shards.front();
+  const CampaignSummary& head = shards.front();
   if (head.shard_count != shards.size()) {
     bad("expected " + std::to_string(head.shard_count) +
         " shard summaries, got " + std::to_string(shards.size()));
   }
   std::vector<bool> seen(shards.size(), false);
-  MergedCampaign m;
+  CampaignSummary m;
   m.seed = head.seed;
   m.scenarios = head.scenarios;
   m.warmup_cycles = head.warmup_cycles;
-  std::uint64_t run_total = 0;
-  for (const ShardSummary& s : shards) {
+  for (const CampaignSummary& s : shards) {
     if (s.seed != head.seed || s.scenarios != head.scenarios ||
         s.shard_count != head.shard_count ||
         s.warmup_cycles != head.warmup_cycles) {
@@ -200,15 +214,15 @@ MergedCampaign merge_shards(const std::vector<ShardSummary>& shards) {
           std::to_string(s.scenarios_run) + " scenarios, expected " +
           std::to_string(expect));
     }
-    run_total += s.scenarios_run;
+    m.scenarios_run += s.scenarios_run;
     m.delivered += s.delivered;
     m.purged += s.purged;
     m.audits += s.audits;
     m.flits_tracked += s.flits_tracked;
     m.failures.insert(m.failures.end(), s.failures.begin(), s.failures.end());
   }
-  if (run_total != head.scenarios) {
-    bad("shards ran " + std::to_string(run_total) +
+  if (m.scenarios_run != head.scenarios) {
+    bad("shards ran " + std::to_string(m.scenarios_run) +
         " scenarios in total, campaign expects " +
         std::to_string(head.scenarios));
   }
@@ -221,10 +235,16 @@ MergedCampaign merge_shards(const std::vector<ShardSummary>& shards) {
   return m;
 }
 
-std::string MergedCampaign::summary_text() const {
+std::string CampaignSummary::summary_text() const {
   std::ostringstream os;
   os << "htnoc fault campaign seed=0x" << std::hex << seed << std::dec
-     << " scenarios=" << scenarios << "\n";
+     << " scenarios=" << scenarios_run;
+  // The shard token only appears on shard summaries, so an unsharded run's
+  // bytes are untouched (and are what merge_shards reconstructs).
+  if (shard_count > 1) {
+    os << " shard=" << shard_index << "/" << shard_count;
+  }
+  os << "\n";
   os << "failures=" << failures.size() << " delivered=" << delivered
      << " purged=" << purged << " audits=" << audits
      << " flits_tracked=" << flits_tracked << "\n";
@@ -237,7 +257,7 @@ std::string MergedCampaign::summary_text() const {
 }
 
 std::string violation_signature(const ShardFailure& f) {
-  const std::string& src = f.violation.empty() ? f.error : f.violation;
+  const std::string& src = first_violation(f);
   std::string sig;
   sig.reserve(src.size());
   bool in_digits = false;
@@ -253,14 +273,30 @@ std::string violation_signature(const ShardFailure& f) {
   return sig;
 }
 
-std::string MergedCampaign::summary_markdown() const {
+std::string CampaignSummary::failures_markdown() const {
   std::ostringstream os;
-  os << "| scenarios | failures | packets delivered | packets purged | "
-        "audit cycles | flits tracked |\n";
-  os << "|---|---|---|---|---|---|\n";
-  os << "| " << scenarios << " | " << failures.size() << " | " << delivered
-     << " | " << purged << " | " << audits << " | " << flits_tracked
-     << " |\n";
+  totals_markdown(os, *this);
+  if (failures.empty()) return os.str();
+
+  os << "\n### Failing scenarios\n\n";
+  os << "| index | repro | scenario | first violation |\n";
+  os << "|---|---|---|---|\n";
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    if (i == 50) {
+      os << "| … | | " << (failures.size() - i) << " more | |\n";
+      break;
+    }
+    const ShardFailure& f = failures[i];
+    os << "| " << f.index << " | `"
+       << format_repro({seed, f.index, warmup_cycles}) << "` | "
+       << f.descriptor << " | " << first_violation(f) << " |\n";
+  }
+  return os.str();
+}
+
+std::string CampaignSummary::signatures_markdown() const {
+  std::ostringstream os;
+  totals_markdown(os, *this);
   if (failures.empty()) return os.str();
 
   // One row per distinct violation signature; the representative is the
