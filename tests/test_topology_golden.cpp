@@ -12,6 +12,12 @@
 // taken on the legacy hard-coded fabric, before the topology layer
 // existed, so they still pin that fabric's behaviour.
 //
+// The audited record runs the attacked fabric with the invariant auditor
+// armed, L-Ob, a purge every 37 cycles and a short starvation horizon, so
+// the digest also pins the auditor's own state (ledger, ledger garbage
+// collection, purge flips, head-of-line watches, dedup set, counters)
+// after every cycle: an auditor rewrite must reproduce it exactly.
+//
 // Regenerating (only after an *intended* behavior change, with review):
 //   HTNOC_UPDATE_GOLDEN=1 ./build/tests/test_topology_golden
 #include <gtest/gtest.h>
@@ -32,7 +38,7 @@ namespace {
 
 using namespace htnoc;
 
-enum class Load : std::uint8_t { kIdle, kLoaded, kAttacked };
+enum class Load : std::uint8_t { kIdle, kLoaded, kAttacked, kAudited };
 
 /// Drive the seed 4x4 cmesh under a fixed-seed scenario and record the
 /// state digest after every step() call.
@@ -40,7 +46,11 @@ std::vector<std::uint64_t> run_digests(Load load, Cycle cycles) {
   sim::SimConfig sc;
   sc.noc.seed = 0xBEEF;
   sc.seed = 0xF00D;
-  if (load == Load::kAttacked) {
+  if (load == Load::kAudited) {
+    sc.audit.enabled = true;
+    sc.audit.deadlock_horizon = 120;
+  }
+  if (load == Load::kAttacked || load == Load::kAudited) {
     sc.mode = sim::MitigationMode::kLOb;
     sim::AttackSpec atk;
     atk.link = {5, Direction::kEast};
@@ -63,9 +73,24 @@ std::vector<std::uint64_t> run_digests(Load load, Cycle cycles) {
   std::vector<std::uint64_t> out;
   out.reserve(cycles);
   for (Cycle c = 0; c < cycles; ++c) {
+    if (load == Load::kAudited && c > 50 && c % 37 == 0) {
+      // Purge a recently injected packet, young enough to still be in
+      // flight, and hand it back to the generator for re-injection.
+      const PacketId hi = net.peek_next_packet_id();
+      if (hi > 9) {
+        for (const PacketId dropped :
+             net.purge_packet(hi - 1 - static_cast<PacketId>(c) % 8)) {
+          gen.requeue(dropped);
+        }
+      }
+    }
     if (load != Load::kIdle) gen.step();
     simulator.step();
     out.push_back(verify::state_digest(simulator, {&gen}));
+  }
+  if (const verify::NetworkInvariantAuditor* aud = simulator.auditor()) {
+    EXPECT_TRUE(aud->clean()) << aud->report();
+    EXPECT_EQ(aud->audits_run(), cycles);
   }
   return out;
 }
@@ -128,6 +153,11 @@ TEST(TopologyGolden, LoadedCmesh4x4MatchesLegacyFabric) {
 TEST(TopologyGolden, AttackedCmesh4x4MatchesLegacyFabric) {
   check_against_golden("cmesh4x4_attacked.state.digests", Load::kAttacked,
                        600);
+}
+
+TEST(TopologyGolden, AuditedCmesh4x4KeepsAuditorState) {
+  check_against_golden("cmesh4x4_audited.state.digests", Load::kAudited,
+                       1500);
 }
 
 }  // namespace
