@@ -15,6 +15,7 @@
 // holding any stream, so those stages visit only VCs with work.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -235,9 +236,16 @@ class InputUnit {
   /// station), labelled with the caller-supplied identity. Iteration order
   /// — VCs ascending, streams FIFO, flits seq-ascending — matches the
   /// snapshot walk and the pre-pool deque layout.
+  ///
+  /// Only the VCs in busy_vcs() are walked; the others hold no stream. The
+  /// census trusts the mask exactly as RC, VA and SA do: a mask that
+  /// wrongly cleared a busy VC would strand its flits (those stages skip
+  /// the VC) and hide them here, so the auditor's ledger would report them
+  /// as lost.
   void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
                         std::int8_t port) const {
-    for (const auto& v : vcs_) {
+    for (std::uint32_t m = busy_vcs_; m != 0; m &= m - 1) {
+      const VcBuf& v = vcs_[static_cast<std::size_t>(std::countr_zero(m))];
       for (const auto& s : v.streams) {
         for (pool::FlitHandle h = s.head; !h.null(); h = arena_.next(h)) {
           const Flit& f = arena_.flit(h);

@@ -226,17 +226,17 @@ class OutputUnit {
     return n;
   }
 
-  /// Flit uids of in-flight (sent, unacknowledged) slots on VC `vc` —
-  /// used by the credit-conservation checker to find flits that are
-  /// simultaneously here and buffered at the receiver (ACK in flight).
-  [[nodiscard]] std::vector<std::uint64_t> inflight_uids(int vc) const {
-    std::vector<std::uint64_t> uids;
+  /// Call `fn(uid)` for the flit uid of every in-flight (sent,
+  /// unacknowledged) slot on VC `vc` — used by the credit-conservation
+  /// checker to find flits that are simultaneously here and buffered at the
+  /// receiver (ACK in flight). Allocates nothing.
+  template <class Fn>
+  void for_each_inflight_uid(int vc, Fn&& fn) const {
     for (std::size_t i = 0; i < meta_.size(); ++i) {
       if (meta_[i].state == SlotState::kInFlight && meta_[i].vc == vc) {
-        uids.push_back(payload_[i].flit.flit_uid());
+        fn(payload_[i].flit.flit_uid());
       }
     }
-    return uids;
   }
 
   /// Audit census: append every retransmission-slot flit, labelled with

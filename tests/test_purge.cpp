@@ -141,7 +141,8 @@ TEST_F(PurgeTest, FlitInLinkPhitAndRetransSlotCountedOnce) {
     net.step();
     bool slot_in_flight = false;
     for (int vc = 0; vc < cfg.vcs_per_port; ++vc) {
-      if (!inj.inflight_uids(vc).empty()) slot_in_flight = true;
+      inj.for_each_inflight_uid(vc,
+                                [&](std::uint64_t) { slot_in_flight = true; });
     }
     dual = slot_in_flight && l->has_packet(info.id);
   }
@@ -185,12 +186,13 @@ TEST_F(PurgeTest, PurgeRacingInFlightAckAtEveryOffset) {
     // No retransmission slot anywhere in the fabric may still reference the
     // purged packet once its control traffic has drained.
     const auto holds_packet = [&](const OutputUnit& out) {
+      bool held = false;
       for (int vc = 0; vc < cfg.vcs_per_port; ++vc) {
-        for (const std::uint64_t uid : out.inflight_uids(vc)) {
-          if ((uid >> 8) == info.id) return true;
-        }
+        out.for_each_inflight_uid(vc, [&](std::uint64_t uid) {
+          if ((uid >> 8) == info.id) held = true;
+        });
       }
-      return false;
+      return held;
     };
     for (RouterId r = 0; r < cfg.num_routers(); ++r) {
       const Router& router = n.router(r);
