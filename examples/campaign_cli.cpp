@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "count_flag.hpp"
 #include "verify/campaign.hpp"
 #include "verify/campaign_json.hpp"
 #include "verify/shard_merge.hpp"
@@ -122,13 +123,23 @@ int main(int argc, char** argv) {
       if (flag == "--spec") {
         (void)value();  // consumed by the first pass
       } else if (flag == "--scenarios") {
-        spec.scenarios = std::stoull(value(), nullptr, 0);
+        spec.scenarios =
+            htnoc::cli::parse_count(value(), 0, htnoc::verify::kMaxScenarios);
       } else if (flag == "--seed") {
         spec.seed = std::stoull(value(), nullptr, 0);
       } else if (flag == "--jobs") {
         spec.threads = std::stoi(value());
       } else if (flag == "--audit-period") {
-        spec.audit.period = std::stoull(value(), nullptr, 0);
+        // Exactly the periods a spec file's audit_period accepts.
+        const std::uint64_t period = htnoc::cli::parse_count(value(), 0);
+        if (period < htnoc::verify::kMinAuditPeriod ||
+            period > htnoc::verify::kMaxAuditPeriod) {
+          throw std::runtime_error(
+              "value " + std::to_string(period) + " out of range [" +
+              std::to_string(htnoc::verify::kMinAuditPeriod) + ", " +
+              std::to_string(htnoc::verify::kMaxAuditPeriod) + "]");
+        }
+        spec.audit.period = period;
       } else if (flag == "--topologies") {
         // Comma-separated kinds, e.g. "cmesh,mesh,torus". Omitting the flag
         // keeps the historical all-cmesh scenario distribution byte-for-byte.
@@ -145,8 +156,8 @@ int main(int argc, char** argv) {
         const std::size_t slash = v.find('/');
         try {
           if (slash == std::string::npos) throw std::invalid_argument(v);
-          spec.shard_index = std::stoull(v.substr(0, slash), nullptr, 0);
-          spec.shard_count = std::stoull(v.substr(slash + 1), nullptr, 0);
+          spec.shard_index = htnoc::cli::parse_count(v.substr(0, slash), 0);
+          spec.shard_count = htnoc::cli::parse_count(v.substr(slash + 1), 0);
         } catch (const std::logic_error&) {
           throw std::runtime_error("expects I/N, got '" + v + "'");
         }
@@ -154,7 +165,7 @@ int main(int argc, char** argv) {
           throw std::runtime_error("needs I < N, got '" + v + "'");
         }
       } else if (flag == "--snapshot-warmup") {
-        spec.warmup_cycles = std::stoull(value(), nullptr, 0);
+        spec.warmup_cycles = htnoc::cli::parse_count(value(), 0);
       } else if (flag == "--merge") {
         // Consumes every following non-flag argument as a shard summary file.
         merging = true;

@@ -19,11 +19,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "count_flag.hpp"
 #include "sweep/emit.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec_json.hpp"
@@ -161,13 +163,14 @@ int main(int argc, char** argv) {
           spec.rate_scales.push_back(std::stod(r));
         }
       } else if (arg == "--replicates") {
-        spec.replicates = std::stoi(value());
+        spec.replicates = static_cast<int>(htnoc::cli::parse_count(
+            value(), 10, std::numeric_limits<int>::max()));
       } else if (arg == "--cycles") {
-        spec.run_cycles = std::stoull(value());
+        spec.run_cycles = htnoc::cli::parse_count(value());
       } else if (arg == "--requests") {
-        spec.total_requests = std::stoull(value());
+        spec.total_requests = htnoc::cli::parse_count(value());
       } else if (arg == "--budget") {
-        spec.cycle_budget = std::stoull(value());
+        spec.cycle_budget = htnoc::cli::parse_count(value());
       } else if (arg == "--seed") {
         spec.base_seed = std::stoull(value(), nullptr, 0);
       } else if (arg == "--jobs") {

@@ -51,12 +51,13 @@ CampaignSpec campaign_spec_from_json(const json::Value& doc) {
     if (key == "seed") {
       spec.seed = get_u64(val, "seed");
     } else if (key == "scenarios") {
-      spec.scenarios = get_u64_range(val, "scenarios", 1, 100'000'000);
+      spec.scenarios = get_u64_range(val, "scenarios", 1, kMaxScenarios);
     } else if (key == "step_threads") {
       spec.step_threads =
           static_cast<int>(get_u64_range(val, "step_threads", 1, 256));
     } else if (key == "audit_period") {
-      spec.audit.period = get_u64_range(val, "audit_period", 1, 1'000'000);
+      spec.audit.period = get_u64_range(val, "audit_period", kMinAuditPeriod,
+                                        kMaxAuditPeriod);
     } else if (key == "shard_index") {
       spec.shard_index = get_u64(val, "shard_index");
     } else if (key == "shard_count") {

@@ -21,6 +21,13 @@
 
 namespace htnoc::verify {
 
+/// The audit periods a spec's `audit_period` accepts (and so does
+/// `campaign_cli --audit-period`).
+inline constexpr Cycle kMinAuditPeriod = 1;
+inline constexpr Cycle kMaxAuditPeriod = 1'000'000;
+/// The largest `scenarios` a spec accepts (and `campaign_cli --scenarios`).
+inline constexpr std::uint64_t kMaxScenarios = 100'000'000;
+
 [[nodiscard]] CampaignSpec campaign_spec_from_json(const json::Value& doc);
 [[nodiscard]] CampaignSpec parse_campaign_spec(const std::string& text);
 [[nodiscard]] json::Value campaign_spec_to_json(const CampaignSpec& spec);

@@ -128,13 +128,18 @@ TEST_F(Cli, FlagAfterSpecOverridesFile) {
 }
 
 TEST_F(Cli, UsageErrorsExitTwo) {
+  // A sign on a count flag is a usage error, not a wrapped 2^64 - k; the
+  // audit period takes the range a spec file's audit_period takes.
   for (const char* args :
        {"--scenarios abc", "--topologies ring", "--shard 3/2", "--no-such-flag",
-        "--scenarios", "--spec /nonexistent/spec.json"}) {
+        "--scenarios", "--spec /nonexistent/spec.json", "--audit-period -1",
+        "--audit-period 0", "--scenarios -1", "--snapshot-warmup -1",
+        "--scenarios 18446744073709551615"}) {
     EXPECT_EQ(campaign(args).status, 2) << "campaign_cli " << args;
   }
   for (const char* args : {"--cycles abc", "--modes bogus", "--no-such-flag",
-                           "--cycles", "--spec /nonexistent/spec.json"}) {
+                           "--cycles", "--spec /nonexistent/spec.json",
+                           "--cycles -1"}) {
     EXPECT_EQ(sweep(args).status, 2) << "sweep_cli " << args;
   }
 }
