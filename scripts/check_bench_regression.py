@@ -65,8 +65,11 @@ HARD_RATIO_GATES = [
      "table-driven SECDED decode must clearly beat the bit-serial oracle"),
     ("BM_NetworkStepIdle", "BM_NetworkStepIdleFullStepping", 0.80,
      "active-set stepping must win on an idle network"),
-    ("BM_NetworkStepAudited", "BM_NetworkStepLoaded", 25.0,
-     "per-cycle invariant audit may not explode the step cost"),
+    ("BM_NetworkStepAudited", "BM_NetworkStepLoaded", 3.9,
+     "a clean per-cycle invariant audit must cost about one step (it sorts "
+     "nothing, builds no string, allocates nothing): 8 runs of 5 "
+     "repetitions on a 4-vCPU host read 1.50-2.58; the max is 1.5x the "
+     "worst"),
     ("BM_CampaignSnapshotFork", "BM_CampaignWarmupRerun", 0.60,
      "a snapshot-forked scenario must clearly beat re-running the warmup"),
 ]

@@ -3,7 +3,9 @@
 // This binary replaces the global operator new with a counting one, armed
 // only while Network::step runs, and steps a loaded fabric for a warmed
 // window. A container rebuilt per cycle or per flit anywhere under the
-// step shows up as a non-zero count.
+// step shows up as a non-zero count. The same holds for a clean audit:
+// the AuditAllocations cases arm the counter only around
+// NetworkInvariantAuditor::on_cycle_end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "verify/auditor.hpp"
 
 namespace {
 
@@ -141,6 +144,40 @@ std::uint64_t allocations_in_step(const NocConfig& cfg, int packets_per_cycle,
   return g_allocations.load();
 }
 
+/// Heap allocations made inside NetworkInvariantAuditor::on_cycle_end over
+/// `window` audited cycles, after `warmup` audited cycles of the same load.
+/// The step and the injections run with the counter off.
+std::uint64_t allocations_in_audit(const NocConfig& cfg, int packets_per_cycle,
+                                   Cycle warmup, Cycle window) {
+  Network net(cfg);
+  std::uint64_t delivered = 0;
+  net.set_delivery_callback(
+      [&delivered](Cycle, const PacketInfo&, Cycle) { ++delivered; });
+  verify::AuditConfig acfg;
+  acfg.enabled = true;
+  verify::NetworkInvariantAuditor auditor(net, acfg);
+  net.set_audit(&auditor);
+  UniformLoad load(net, packets_per_cycle);
+  for (Cycle c = 0; c < warmup; ++c) {
+    load.inject();
+    net.step();
+    auditor.on_cycle_end();
+  }
+  const std::uint64_t delivered_before = delivered;
+  g_allocations.store(0);
+  for (Cycle c = 0; c < window; ++c) {
+    load.inject();
+    net.step();
+    g_counting.store(true);
+    auditor.on_cycle_end();
+    g_counting.store(false);
+  }
+  EXPECT_GT(delivered, delivered_before) << "the window must move traffic";
+  EXPECT_EQ(auditor.audits_run(), warmup + window);
+  EXPECT_TRUE(auditor.clean()) << auditor.report();
+  return g_allocations.load();
+}
+
 TEST(StepAllocations, CounterSeesAllocations) {
   // The replacement is live in this binary: an allocation while armed
   // counts.
@@ -184,6 +221,20 @@ TEST(StepAllocations, LoadedMesh8x8ParkingShardedStepWithoutAllocating) {
   cfg.step_threads =
       std::min(static_cast<int>(std::thread::hardware_concurrency()) + 1, 64);
   EXPECT_EQ(allocations_in_step(cfg, 4, 2000, 3000), 0u);
+}
+
+TEST(AuditAllocations, LoadedCmesh4x4AuditsWithoutAllocating) {
+  NocConfig cfg;
+  EXPECT_EQ(allocations_in_audit(cfg, 4, 2000, 3000), 0u);
+}
+
+TEST(AuditAllocations, LoadedMesh8x8AuditsWithoutAllocating) {
+  NocConfig cfg;
+  cfg.topology = TopologyKind::kMesh;
+  cfg.mesh_width = 8;
+  cfg.mesh_height = 8;
+  cfg.concentration = 1;
+  EXPECT_EQ(allocations_in_audit(cfg, 4, 2000, 3000), 0u);
 }
 
 }  // namespace
