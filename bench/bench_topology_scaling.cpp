@@ -1,8 +1,8 @@
-// Large-fabric scaling of the topology layer: simulated cycles/second
-// (items_per_second) as a function of fabric size x step_threads, on plain
-// k x k meshes from 8x8 (64 routers) to 64x64 (4096 routers) plus a 16x16
-// torus. Measured curves live in docs/SCALING.md; CI runs a smoke subset
-// and archives the JSON (--benchmark_out).
+// Large-fabric scaling: simulated cycles/second (items_per_second) as a
+// function of fabric size x step_threads, on plain k x k meshes from 8x8
+// (64 routers) to 64x64 (4096 routers). Measured curves live in
+// docs/SCALING.md; CI runs a smoke subset and archives the JSON
+// (--benchmark_out).
 //
 // Traffic is injected by hand at a fixed 1/32 cores-per-cycle rate so every
 // size measures the same relative load and none of the cost is the traffic
@@ -20,12 +20,12 @@ namespace {
 
 using namespace htnoc;
 
-void drive_fabric(benchmark::State& state, TopologyKind kind) {
+void BM_MeshScaling(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
 
   sim::SimConfig sc;
-  sc.noc.topology = kind;
+  sc.noc.topology = TopologyKind::kMesh;
   sc.noc.mesh_width = k;
   sc.noc.mesh_height = k;
   sc.noc.concentration = 1;
@@ -70,21 +70,8 @@ void drive_fabric(benchmark::State& state, TopologyKind kind) {
   state.counters["routers"] = static_cast<double>(net.geometry().num_routers());
   state.counters["delivered"] = static_cast<double>(net.packets_delivered());
 }
-
-void BM_MeshScaling(benchmark::State& state) {
-  drive_fabric(state, TopologyKind::kMesh);
-}
 BENCHMARK(BM_MeshScaling)
     ->ArgsProduct({{8, 16, 32, 64}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMicrosecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_TorusScaling(benchmark::State& state) {
-  drive_fabric(state, TopologyKind::kTorus);
-}
-BENCHMARK(BM_TorusScaling)
-    ->ArgsProduct({{16}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMicrosecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

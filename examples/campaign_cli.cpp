@@ -44,6 +44,8 @@ void usage() {
          "       campaign_cli --repro SPEC-OR-FILE\n"
          "--spec loads a JSON campaign spec (docs/REPRODUCING.md, \"Spec\n"
          "files\"); other flags override on top of it.\n"
+         "--topologies is a comma-separated list of fabric kinds, cmesh and\n"
+         "mesh, that scenarios draw from (default: the paper's 4x4 cmesh).\n"
          "--shard runs one strided slice of the campaign; --shard-summary\n"
          "writes the shard's mergeable JSON document, and --merge combines\n"
          "a complete shard set into the unsharded campaign verdict. A merge's\n"
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
         }
         spec.audit.period = period;
       } else if (flag == "--topologies") {
-        // Comma-separated kinds, e.g. "cmesh,mesh,torus". Omitting the flag
+        // Comma-separated kinds, e.g. "cmesh,mesh". Omitting the flag
         // keeps the historical all-cmesh scenario distribution byte-for-byte.
         std::string list = value();
         for (std::size_t pos = 0; pos <= list.size();) {

@@ -8,12 +8,13 @@
 // Prints a time series of throughput and saturation metrics plus a final
 // summary — the fastest way to poke at the system's behaviour space.
 #include <cstdio>
-#include <cstring>
-#include <map>
-#include <string>
-
 #include <iostream>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "count_flag.hpp"
 #include "sim/simulator.hpp"
 #include "stats/stats.hpp"
 #include "traffic/generator.hpp"
@@ -23,10 +24,10 @@ namespace {
 using namespace htnoc;
 
 struct Options {
-  std::string app = "blackscholes";
-  std::string mode = "none";
-  std::string routing = "xy";
-  std::string scheme = "output";
+  traffic::AppProfile profile = traffic::blackscholes_profile();
+  sim::MitigationMode mode = sim::MitigationMode::kNone;
+  bool west_first = false;
+  RetransmissionScheme scheme = RetransmissionScheme::kOutputBuffer;
   std::vector<LinkRef> attack_links;
   trojan::TargetKind target_kind = trojan::TargetKind::kDest;
   std::uint64_t target_value = 0;
@@ -56,7 +57,8 @@ void usage() {
       "  --rate X          scale the app's injection rate by X\n"
       "  --tdm             enable two-domain TDM QoS\n"
       "  --report          print the full per-router pipeline report\n"
-      "  --seed N          traffic seed\n");
+      "  --seed N          traffic seed\n"
+      "A bad flag or value exits with status 2.\n");
 }
 
 Direction parse_dir(char c) {
@@ -79,22 +81,36 @@ trojan::TargetKind parse_kind(const std::string& k) {
   throw ContractViolation("bad target kind " + k);
 }
 
-bool parse_args(int argc, char** argv, Options& opt) {
+sim::MitigationMode parse_mode(const std::string& m) {
+  if (m == "none") return sim::MitigationMode::kNone;
+  if (m == "lob") return sim::MitigationMode::kLOb;
+  if (m == "reroute") return sim::MitigationMode::kReroute;
+  throw ContractViolation("bad mode " + m);
+}
+
+bool parse_west_first(const std::string& r) {
+  if (r == "xy") return false;
+  if (r == "west_first") return true;
+  throw ContractViolation("bad routing " + r);
+}
+
+/// `arg` is left naming the flag being parsed, for the error message.
+bool parse_args(int argc, char** argv, Options& opt, std::string& arg) {
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    arg = argv[i];
     const auto next = [&]() -> std::string {
       if (i + 1 >= argc) throw ContractViolation(arg + " needs a value");
       return argv[++i];
     };
     if (arg == "--help" || arg == "-h") return false;
     if (arg == "--app") {
-      opt.app = next();
+      opt.profile = traffic::profile_by_name(next());
     } else if (arg == "--mode") {
-      opt.mode = next();
+      opt.mode = parse_mode(next());
     } else if (arg == "--routing") {
-      opt.routing = next();
+      opt.west_first = parse_west_first(next());
     } else if (arg == "--scheme") {
-      opt.scheme = next();
+      opt.scheme = retransmission_scheme_from_string(next());
     } else if (arg == "--attack") {
       const std::string v = next();
       const auto colon = v.find(':');
@@ -102,7 +118,8 @@ bool parse_args(int argc, char** argv, Options& opt) {
         throw ContractViolation("--attack expects R:D, got " + v);
       }
       opt.attack_links.push_back(
-          {static_cast<RouterId>(std::stoi(v.substr(0, colon))),
+          {static_cast<RouterId>(
+               cli::parse_count(v.substr(0, colon), 10, kInvalidRouter - 1)),
            parse_dir(v[colon + 1])});
     } else if (arg == "--target") {
       const std::string v = next();
@@ -113,9 +130,9 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.target_kind = parse_kind(v.substr(0, eq));
       opt.target_value = std::stoull(v.substr(eq + 1), nullptr, 0);
     } else if (arg == "--killsw") {
-      opt.killsw_at = std::stoull(next());
+      opt.killsw_at = cli::parse_count(next());
     } else if (arg == "--cycles") {
-      opt.cycles = std::stoull(next());
+      opt.cycles = cli::parse_count(next());
     } else if (arg == "--rate") {
       opt.rate_scale = std::stod(next());
     } else if (arg == "--seed") {
@@ -131,31 +148,21 @@ bool parse_args(int argc, char** argv, Options& opt) {
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  try {
-    if (!parse_args(argc, argv, opt)) {
-      usage();
-      return 0;
-    }
-  } catch (const std::exception& e) {
-    std::printf("error: %s\n\n", e.what());
-    usage();
-    return 2;
-  }
-
+sim::SimConfig make_config(const Options& opt) {
   sim::SimConfig sc;
   sc.noc.tdm_enabled = opt.tdm;
-  sc.noc.retrans_scheme = retransmission_scheme_from_string(opt.scheme);
-  sc.mode = opt.mode == "lob"       ? sim::MitigationMode::kLOb
-            : opt.mode == "reroute" ? sim::MitigationMode::kReroute
-                                    : sim::MitigationMode::kNone;
-  if (opt.attack_links.empty()) {
-    opt.attack_links.push_back({4, Direction::kNorth});
-  }
-  for (const LinkRef& l : opt.attack_links) {
+  sc.noc.retrans_scheme = opt.scheme;
+  sc.mode = opt.mode;
+  std::vector<LinkRef> links = opt.attack_links;
+  if (links.empty()) links.push_back({4, Direction::kNorth});
+  const MeshGeometry geom(sc.noc.mesh_width, sc.noc.mesh_height,
+                          sc.noc.concentration);
+  for (const LinkRef& l : links) {
+    if (l.from >= geom.num_routers() || !geom.has_neighbor(l.from, l.dir)) {
+      throw ContractViolation("--attack " + std::to_string(l.from) + ":" +
+                              to_string(l.dir) +
+                              ": the fabric has no such link");
+    }
     sim::AttackSpec a;
     a.link = l;
     a.tasp.kind = opt.target_kind;
@@ -166,25 +173,75 @@ int main(int argc, char** argv) {
     a.enable_killsw_at = opt.killsw_at;
     sc.attacks.push_back(a);
   }
+  return sc;
+}
 
-  sim::Simulator simulator(std::move(sc));
-  Network& net = simulator.network();
-  if (opt.routing == "west_first") net.use_west_first_routing();
-
+/// The run the options describe: the simulator and the application
+/// traffic that loads it. Building it checks the whole configuration, so
+/// a value the simulator refuses fails here, before the first cycle.
+struct Run {
+  sim::Simulator simulator;
   traffic::DeliveryDispatcher disp;
-  disp.install(net);
-  auto profile = traffic::profile_by_name(opt.app);
-  profile.injection_rate *= opt.rate_scale;
-  traffic::AppTrafficModel model(net.geometry(), profile);
-  traffic::TrafficGenerator::Params gp;
-  gp.seed = opt.seed;
-  traffic::TrafficGenerator gen(net, model, gp, disp);
-  simulator.set_drop_callback([&](PacketId id) { gen.requeue(id); });
+  traffic::TrafficGenerator gen;
+
+  explicit Run(const Options& opt)
+      : simulator(make_config(opt)),
+        gen(simulator.network(),
+            traffic::AppTrafficModel(simulator.network().geometry(),
+                                     scaled_profile(opt)),
+            [&opt] {
+              traffic::TrafficGenerator::Params gp;
+              gp.seed = opt.seed;
+              return gp;
+            }(),
+            disp) {
+    if (opt.west_first) simulator.network().use_west_first_routing();
+    disp.install(simulator.network());
+    simulator.set_drop_callback([this](PacketId id) { gen.requeue(id); });
+  }
+
+  static traffic::AppProfile scaled_profile(const Options& opt) {
+    traffic::AppProfile p = opt.profile;
+    p.injection_rate *= opt.rate_scale;
+    return p;
+  }
+};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  std::unique_ptr<Run> run;
+  std::string flag;
+  try {
+    if (!parse_args(argc, argv, opt, flag)) {
+      usage();
+      return 0;
+    }
+    flag.clear();
+    run = std::make_unique<Run>(opt);
+  } catch (const std::exception& e) {
+    // std::sto* and cli::parse_count failures carry only a function name.
+    const bool bad_number =
+        !flag.empty() && (dynamic_cast<const std::invalid_argument*>(&e) ||
+                          dynamic_cast<const std::out_of_range*>(&e));
+    if (bad_number) {
+      std::printf("error: %s: not a valid number\n\n", flag.c_str());
+    } else {
+      std::printf("error: %s\n\n", e.what());
+    }
+    usage();
+    return 2;
+  }
+  sim::Simulator& simulator = run->simulator;
+  traffic::TrafficGenerator& gen = run->gen;
+  Network& net = simulator.network();
 
   std::printf("app=%s mode=%s routing=%s scheme=%s trojans=%zu "
               "target=%s killsw@%llu\n\n",
-              opt.app.c_str(), opt.mode.c_str(), opt.routing.c_str(),
-              opt.scheme.c_str(), simulator.num_trojans(),
+              opt.profile.name.c_str(), sim::to_string(opt.mode).c_str(),
+              opt.west_first ? "west_first" : "xy",
+              to_string(opt.scheme).c_str(), simulator.num_trojans(),
               trojan::to_string(opt.target_kind).c_str(),
               static_cast<unsigned long long>(opt.killsw_at));
   std::printf("%8s %10s %10s %8s %10s %12s\n", "cycle", "delivered",

@@ -36,7 +36,6 @@ ROWS = (
     ("mesh 16×16", "BM_MeshScaling", 16, 256),
     ("mesh 32×32", "BM_MeshScaling", 32, 1024),
     ("mesh 64×64", "BM_MeshScaling", 64, 4096),
-    ("torus 16×16", "BM_TorusScaling", 16, 256),
 )
 
 

@@ -1,10 +1,13 @@
 #include "common/config.hpp"
 
 #include "common/expect.hpp"
+#include "common/types.hpp"
 
 namespace htnoc {
 
 void NocConfig::validate() const {
+  HTNOC_EXPECT(topology == TopologyKind::kConcentratedMesh ||
+               topology == TopologyKind::kMesh);
   HTNOC_EXPECT(mesh_width >= 2 && mesh_width <= 64);
   HTNOC_EXPECT(mesh_height >= 2 && mesh_height <= 64);
   HTNOC_EXPECT(concentration >= 1 && concentration <= 16);
@@ -22,12 +25,14 @@ void NocConfig::validate() const {
   // is its own topology kind, so an accidental concentration carry-over
   // from the cmesh default is a config bug worth failing loudly on.
   if (topology == TopologyKind::kMesh) HTNOC_EXPECT(concentration == 1);
+  // Core ids are NodeIds, and the largest one is kInvalidNode: a 64x64
+  // fabric with concentration 16 has one core too many.
+  HTNOC_EXPECT(num_cores() <= static_cast<int>(kInvalidNode));
 }
 
 TopologyKind topology_kind_from_string(const std::string& s) {
   if (s == "cmesh") return TopologyKind::kConcentratedMesh;
   if (s == "mesh") return TopologyKind::kMesh;
-  if (s == "torus") return TopologyKind::kTorus;
   throw ContractViolation("unknown topology kind: " + s);
 }
 
@@ -35,7 +40,6 @@ std::string to_string(TopologyKind k) {
   switch (k) {
     case TopologyKind::kConcentratedMesh: return "cmesh";
     case TopologyKind::kMesh: return "mesh";
-    case TopologyKind::kTorus: return "torus";
   }
   return "?";
 }

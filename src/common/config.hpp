@@ -13,16 +13,15 @@ enum class RetransmissionScheme : std::uint8_t {
   kPerVcBuffer,   ///< Dedicated slots per VC.
 };
 
-/// Fabric family (see src/topology). The paper's platform is the 4x4
-/// concentrated mesh; the generic mesh and torus open the large-scale
-/// regimes the refined-DoS literature targets. The topology decides the
-/// link graph and the default dimension-order routing function; everything
-/// downstream (routers, links, NIs, auditing, tracing) is
-/// topology-agnostic.
+/// Fabric kind. Both are 2-D meshes described by MeshGeometry and routed
+/// x-y by default; they differ only in how many cores share a router. The
+/// paper's platform is the 4x4 concentrated mesh; the plain mesh opens the
+/// large-fabric regimes the refined-DoS literature targets. The values are
+/// stored in spec files, campaign descriptors, snapshot fingerprints and
+/// trace headers, so they never change.
 enum class TopologyKind : std::uint8_t {
-  kConcentratedMesh,  ///< width x height routers, `concentration` cores each.
-  kMesh,              ///< Plain k x k mesh, one core per router.
-  kTorus,             ///< Mesh with wrap-around links and ring-aware routing.
+  kConcentratedMesh = 0,  ///< w x h routers, `concentration` cores each.
+  kMesh = 1,              ///< Plain k x k mesh, one core per router.
 };
 
 /// Link error-control scheme. The paper evaluates SECDED ("one fault can be
@@ -41,7 +40,7 @@ enum class EccScheme : std::uint8_t {
 /// buffer slots per VC, 5-stage pipeline, x-y routing, round-robin
 /// arbitration, 2 GHz.
 struct NocConfig {
-  /// Fabric family; defaults to the paper's concentrated mesh.
+  /// Fabric kind; defaults to the paper's concentrated mesh.
   TopologyKind topology = TopologyKind::kConcentratedMesh;
   int mesh_width = 4;
   int mesh_height = 4;
@@ -99,7 +98,8 @@ struct NocConfig {
     return stage_bw_rc + stage_va + stage_sa + stage_st + stage_lt;
   }
 
-  /// Throws ContractViolation when any parameter is out of range.
+  /// Throws ContractViolation when any parameter is out of range, or when
+  /// the fabric has more cores than a NodeId can name.
   void validate() const;
 };
 

@@ -1,11 +1,10 @@
-// 2-D grid coordinate helpers shared by every grid topology (mesh,
-// concentrated mesh, torus). The `wrap` flag turns the grid into a torus:
-// edge routers gain neighbours on the opposite edge and hop distances are
-// measured around the shorter side of each ring.
+// 2-D grid coordinate helpers shared by both fabric kinds (the concentrated
+// mesh and the plain mesh): coordinates, core placement, neighbours, hop
+// distance and the canonical enumeration of the inter-router links.
 #pragma once
 
-#include <algorithm>
 #include <cstdlib>
+#include <vector>
 
 #include "common/expect.hpp"
 #include "common/types.hpp"
@@ -20,21 +19,31 @@ struct MeshCoord {
   [[nodiscard]] constexpr bool operator==(const MeshCoord&) const noexcept = default;
 };
 
-/// Static geometry of a (concentrated) 2-D grid, optionally wrapped.
+/// A unidirectional inter-router link identified by its source router and
+/// exit direction.
+struct LinkRef {
+  RouterId from = kInvalidRouter;
+  Direction dir = Direction::kNorth;
+
+  [[nodiscard]] constexpr auto operator<=>(const LinkRef&) const noexcept = default;
+};
+
+/// Dense index for LinkRef: from * 4 + dir. Only N/S/E/W links are indexed.
+[[nodiscard]] constexpr int link_index(const LinkRef& l) noexcept {
+  return static_cast<int>(l.from) * 4 + static_cast<int>(l.dir);
+}
+
+/// Static geometry of a (concentrated) 2-D mesh.
 class MeshGeometry {
  public:
-  MeshGeometry(int width, int height, int concentration, bool wrap = false)
-      : width_(width), height_(height), concentration_(concentration),
-        wrap_(wrap) {
+  MeshGeometry(int width, int height, int concentration)
+      : width_(width), height_(height), concentration_(concentration) {
     HTNOC_EXPECT(width > 0 && height > 0 && concentration > 0);
-    // A wrapped 1-wide ring would make a router its own neighbour.
-    HTNOC_EXPECT(!wrap || (width >= 2 && height >= 2));
   }
 
   [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] int height() const noexcept { return height_; }
   [[nodiscard]] int concentration() const noexcept { return concentration_; }
-  [[nodiscard]] bool wraps() const noexcept { return wrap_; }
   [[nodiscard]] int num_routers() const noexcept { return width_ * height_; }
   [[nodiscard]] int num_cores() const noexcept {
     return num_routers() * concentration_;
@@ -67,15 +76,14 @@ class MeshGeometry {
     return static_cast<NodeId>(static_cast<int>(r) * concentration_ + slot);
   }
 
-  /// True when router r has a neighbour in direction d. On a wrapped grid
-  /// every router has all four mesh neighbours.
+  /// True when router r has a neighbour in direction d.
   [[nodiscard]] bool has_neighbor(RouterId r, Direction d) const {
     const MeshCoord c = coord_of(r);
     switch (d) {
-      case Direction::kNorth: return wrap_ || c.y > 0;
-      case Direction::kSouth: return wrap_ || c.y < height_ - 1;
-      case Direction::kEast: return wrap_ || c.x < width_ - 1;
-      case Direction::kWest: return wrap_ || c.x > 0;
+      case Direction::kNorth: return c.y > 0;
+      case Direction::kSouth: return c.y < height_ - 1;
+      case Direction::kEast: return c.x < width_ - 1;
+      case Direction::kWest: return c.x > 0;
       default: return false;
     }
   }
@@ -84,34 +92,44 @@ class MeshGeometry {
     HTNOC_EXPECT(has_neighbor(r, d));
     MeshCoord c = coord_of(r);
     switch (d) {
-      case Direction::kNorth: c.y = c.y > 0 ? c.y - 1 : height_ - 1; break;
-      case Direction::kSouth: c.y = c.y < height_ - 1 ? c.y + 1 : 0; break;
-      case Direction::kEast: c.x = c.x < width_ - 1 ? c.x + 1 : 0; break;
-      case Direction::kWest: c.x = c.x > 0 ? c.x - 1 : width_ - 1; break;
+      case Direction::kNorth: --c.y; break;
+      case Direction::kSouth: ++c.y; break;
+      case Direction::kEast: ++c.x; break;
+      case Direction::kWest: --c.x; break;
       default: break;
     }
     return router_at(c);
   }
 
-  /// Minimal hop distance between two routers: Manhattan on a mesh, the
-  /// shorter way around each ring on a torus.
+  /// Minimal (Manhattan) hop distance between two routers.
   [[nodiscard]] int hop_distance(RouterId a, RouterId b) const {
     const MeshCoord ca = coord_of(a);
     const MeshCoord cb = coord_of(b);
-    int dx = std::abs(ca.x - cb.x);
-    int dy = std::abs(ca.y - cb.y);
-    if (wrap_) {
-      dx = std::min(dx, width_ - dx);
-      dy = std::min(dy, height_ - dy);
+    return std::abs(ca.x - cb.x) + std::abs(ca.y - cb.y);
+  }
+
+  /// Every directed inter-router link in the canonical order: routers
+  /// ascending, then N, S, E, W within a router. Network wires its links
+  /// in this order and the fault campaign draws attack links from it, so
+  /// the order is part of the determinism contract (goldens, snapshot
+  /// bytes, campaign draws).
+  [[nodiscard]] std::vector<LinkRef> links() const {
+    std::vector<LinkRef> out;
+    out.reserve(static_cast<std::size_t>(num_routers()) * 4);
+    for (int r = 0; r < num_routers(); ++r) {
+      const auto rid = static_cast<RouterId>(r);
+      for (const Direction d : {Direction::kNorth, Direction::kSouth,
+                                Direction::kEast, Direction::kWest}) {
+        if (has_neighbor(rid, d)) out.push_back({rid, d});
+      }
     }
-    return dx + dy;
+    return out;
   }
 
  private:
   int width_;
   int height_;
   int concentration_;
-  bool wrap_;
 };
 
 }  // namespace htnoc

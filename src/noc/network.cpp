@@ -15,9 +15,9 @@ namespace {
 constexpr std::array<Direction, 4> kDirs = {Direction::kNorth, Direction::kSouth,
                                             Direction::kEast, Direction::kWest};
 
-std::unique_ptr<Topology> validated_topology(const NocConfig& cfg) {
+MeshGeometry validated_geometry(const NocConfig& cfg) {
   cfg.validate();
-  return make_topology(cfg);
+  return {cfg.mesh_width, cfg.mesh_height, cfg.concentration};
 }
 
 /// Shard `s` of `shards` contiguous, ascending ranges over `n` units.
@@ -33,9 +33,8 @@ std::string Network::link_name(RouterId from, Direction d) {
 }
 
 Network::Network(const NocConfig& cfg)
-    : cfg_(cfg), topo_(validated_topology(cfg)), geom_(topo_->geometry()) {
-  routing_ = topo_->make_default_routing();
-
+    : cfg_(cfg), geom_(validated_geometry(cfg)),
+      routing_(std::make_unique<XyRouting>(geom_)) {
   const int nr = geom_.num_routers();
   const int nc = geom_.num_cores();
 
@@ -44,20 +43,18 @@ Network::Network(const NocConfig& cfg)
     routers_.push_back(std::make_unique<Router>(cfg_, r, routing_.get()));
   }
 
-  // Inter-router links, wired in the topology's canonical enumeration
-  // order (routers ascending, N,S,E,W) — the legacy hard-coded order.
+  // Inter-router links, wired in the canonical order (routers ascending,
+  // N,S,E,W); snapshot bytes and goldens depend on it.
   mesh_links_.resize(static_cast<std::size_t>(nr) * 4);
-  for (const TopoLink& tl : topo_->links()) {
-    auto lnk =
-        std::make_unique<Link>(link_name(tl.from, tl.dir), cfg_.stage_lt);
-    routers_[static_cast<std::size_t>(tl.from)]
-        ->output(direction_port(tl.dir))
+  for (const LinkRef& l : geom_.links()) {
+    auto lnk = std::make_unique<Link>(link_name(l.from, l.dir), cfg_.stage_lt);
+    routers_[static_cast<std::size_t>(l.from)]
+        ->output(direction_port(l.dir))
         .connect(lnk.get());
-    routers_[static_cast<std::size_t>(tl.to)]
-        ->input(direction_port(opposite(tl.dir)))
+    routers_[static_cast<std::size_t>(geom_.neighbor(l.from, l.dir))]
+        ->input(direction_port(opposite(l.dir)))
         .connect(lnk.get());
-    mesh_links_[static_cast<std::size_t>(link_index({tl.from, tl.dir}))] =
-        std::move(lnk);
+    mesh_links_[static_cast<std::size_t>(link_index(l))] = std::move(lnk);
   }
 
   // NIs and local links.
@@ -300,15 +297,7 @@ bool Network::has_link(RouterId from, Direction dir) const {
   return mesh_links_[static_cast<std::size_t>(link_index({from, dir}))] != nullptr;
 }
 
-std::vector<LinkRef> Network::all_links() const {
-  std::vector<LinkRef> out;
-  for (RouterId r = 0; r < geom_.num_routers(); ++r) {
-    for (Direction d : kDirs) {
-      if (has_link(r, d)) out.push_back({r, d});
-    }
-  }
-  return out;
-}
+std::vector<LinkRef> Network::all_links() const { return geom_.links(); }
 
 void Network::disable_link(const LinkRef& l) {
   HTNOC_EXPECT(has_link(l.from, l.dir));
@@ -353,16 +342,13 @@ bool Network::would_disconnect(const LinkRef& l) const {
 
 void Network::use_xy_routing() {
   HTNOC_EXPECT(disabled_.empty());
-  routing_ = topo_->make_default_routing();
+  routing_ = std::make_unique<XyRouting>(geom_);
   routing_mode_ = RoutingMode::kDefault;
   for (auto& r : routers_) r->set_routing(routing_.get());
 }
 
 void Network::use_west_first_routing() {
   HTNOC_EXPECT(disabled_.empty());
-  // West-first's deadlock argument needs the mesh's acyclic channel
-  // dependency graph; wrap-around links break it.
-  HTNOC_EXPECT(topo_->supports_turn_model());
   // Congestion score of an output: occupied downstream buffer slots plus
   // waiting retransmission slots.
   auto probe = [this](RouterId r, int port) {

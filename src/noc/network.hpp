@@ -1,8 +1,9 @@
 // The complete NoC fabric: routers, inter-router links, local links and
 // network interfaces, plus the aggregate utilization metrics the paper's
-// Figs. 11/12 sample. The link graph and default routing come from the
-// Topology named by NocConfig (concentrated mesh, plain mesh or torus);
-// everything below this class is topology-agnostic.
+// Figs. 11/12 sample. The fabric is the 2-D mesh NocConfig describes
+// (concentrated or plain): links are wired in MeshGeometry::links() order
+// and routing defaults to x-y. Everything below this class is
+// fabric-agnostic.
 #pragma once
 
 #include <map>
@@ -17,7 +18,6 @@
 #include "noc/router.hpp"
 #include "noc/routing.hpp"
 #include "noc/updown.hpp"
-#include "topology/topology.hpp"
 
 namespace htnoc::verify {
 struct StateCodec;  // snapshot/restore (src/verify/snapshot.cpp)
@@ -44,7 +44,6 @@ class Network {
   ~Network();  ///< Out-of-line: owns the (forward-declared) StepPool.
 
   [[nodiscard]] const MeshGeometry& geometry() const noexcept { return geom_; }
-  [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
   [[nodiscard]] const NocConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] Cycle now() const noexcept { return now_; }
 
@@ -107,7 +106,7 @@ class Network {
   /// The unidirectional inter-router link leaving `from` in direction `dir`.
   [[nodiscard]] Link& link(RouterId from, Direction dir);
   [[nodiscard]] bool has_link(RouterId from, Direction dir) const;
-  /// All inter-router links (for sweep experiments).
+  /// All inter-router links, in MeshGeometry::links() order.
   [[nodiscard]] std::vector<LinkRef> all_links() const;
 
   /// Disable a link and (lazily) mark the routing as needing reconfiguration.
@@ -170,13 +169,11 @@ class Network {
 
   // --- routing control ---
 
-  /// Switch every router back to the topology's default dimension-order
-  /// routing — x-y on meshes, ring-shortest x-y on the torus (only valid
-  /// with no disabled links).
+  /// Switch every router back to the default x-y routing (only valid with
+  /// no disabled links).
   void use_xy_routing();
   /// Switch to West-First adaptive routing with live congestion feedback
-  /// (only valid with no disabled links, on a topology whose turn model is
-  /// sound — i.e. not the torus).
+  /// (only valid with no disabled links).
   void use_west_first_routing();
   /// Recompute up*/down* tables around the currently disabled links and
   /// switch every router to them (the Ariadne-style reconfiguration).
@@ -229,8 +226,7 @@ class Network {
                      std::size_t chi);
 
   NocConfig cfg_;
-  std::unique_ptr<Topology> topo_;
-  MeshGeometry geom_;  ///< Copy of topo_->geometry() (hot-path access).
+  MeshGeometry geom_;
   Cycle now_ = 0;
   PacketId next_packet_id_ = 1;
 

@@ -25,20 +25,6 @@
 
 namespace htnoc {
 
-/// A unidirectional inter-router link identified by its source router and
-/// exit direction.
-struct LinkRef {
-  RouterId from = kInvalidRouter;
-  Direction dir = Direction::kNorth;
-
-  [[nodiscard]] constexpr auto operator<=>(const LinkRef&) const noexcept = default;
-};
-
-/// Dense index for LinkRef: from * 4 + dir. Only N/S/E/W links are indexed.
-[[nodiscard]] constexpr int link_index(const LinkRef& l) noexcept {
-  return static_cast<int>(l.from) * 4 + static_cast<int>(l.dir);
-}
-
 class UpDownRouting final : public RoutingFunction {
  public:
   /// Build routing tables over the topology minus `disabled_links`.

@@ -78,7 +78,7 @@ struct SweepSpec {
   /// Template configuration; per-run the engine overrides `mode`,
   /// `attacks` and the seeds from the grid point. The fabric — topology
   /// kind, mesh dimensions, concentration — is set here and shared by every
-  /// run of the sweep (`base.noc.topology` et al.; see src/topology).
+  /// run of the sweep (`base.noc.topology` et al.; see common/geometry.hpp).
   sim::SimConfig base;
 
   // --- grid axes (each must be non-empty; validated by expand()) ---

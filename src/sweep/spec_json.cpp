@@ -258,7 +258,7 @@ void noc_from_json(const Value& v, NocConfig& noc, const std::string& path) {
       try {
         noc.topology = topology_kind_from_string(s);
       } catch (const std::exception&) {
-        bad(p, "unknown topology \"" + s + "\" (expected cmesh/mesh/torus)");
+        bad(p, "unknown topology \"" + s + "\" (expected cmesh/mesh)");
       }
     } else if (key == "mesh_width") {
       noc.mesh_width = get_int_range(val, p, 2, 64);

@@ -11,11 +11,11 @@
 #include <thread>
 
 #include "common/expect.hpp"
+#include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
-#include "topology/topology.hpp"
 #include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
 #include "verify/shard_merge.hpp"
@@ -85,17 +85,6 @@ struct Scenario {
 };
 
 const char* const kProfiles[] = {"blackscholes", "facesim", "ferret", "fft"};
-
-std::vector<LinkRef> mesh_links(const NocConfig& noc) {
-  // The topology's canonical order (routers ascending, N,S,E,W) is exactly
-  // the order this helper always enumerated, so cmesh campaigns keep
-  // drawing the same attack links.
-  std::vector<LinkRef> links;
-  for (const TopoLink& l : make_topology(noc)->links()) {
-    links.push_back({l.from, l.dir});
-  }
-  return links;
-}
 
 trojan::TaspParams draw_tasp(Rng& rng, const NocConfig& noc) {
   trojan::TaspParams t;
@@ -181,8 +170,12 @@ Scenario draw_scenario(const CampaignSpec& spec, std::uint64_t index) {
                            : sim::MitigationMode::kReroute;
   sc.reroute_latency = rng.next_in(20, 400);
 
-  // Trojan implants.
-  const std::vector<LinkRef> links = mesh_links(sc.noc);
+  // Trojan implants, on links drawn in the canonical order Network wires
+  // them in (routers ascending, N,S,E,W), which keeps every campaign's
+  // attack-link draws stable.
+  const std::vector<LinkRef> links =
+      MeshGeometry(sc.noc.mesh_width, sc.noc.mesh_height, sc.noc.concentration)
+          .links();
   const std::uint64_t num_attacks = rng.next_below(4);
   for (std::uint64_t a = 0; a < num_attacks; ++a) {
     sim::AttackSpec atk;

@@ -56,7 +56,7 @@ struct CampaignSpec {
   /// mitigation modes and mid-run events still randomize, now against a
   /// network already full of in-flight traffic.
   Cycle warmup_cycles = 0;
-  /// Fabric families each scenario may draw from. Empty (the default) means
+  /// Fabric kinds each scenario may draw from. Empty (the default) means
   /// every scenario runs the paper's 4x4 concentrated mesh AND the draw
   /// sequence stays exactly what it was before this knob existed, so the
   /// default campaign's summary is byte-identical to historical recordings

@@ -83,7 +83,7 @@ CampaignSpec campaign_spec_from_json(const json::Value& doc) {
           spec.topologies.push_back(topology_kind_from_string(name));
         } catch (const std::exception&) {
           bad("topologies[]", "unknown topology \"" + name +
-                                  "\" (expected cmesh/mesh/torus)");
+                                  "\" (expected cmesh/mesh)");
         }
       }
     } else {

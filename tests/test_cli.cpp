@@ -1,8 +1,9 @@
-// End-to-end checks of the two command-line front ends, run as
-// subprocesses: a spec file and the equivalent flags produce the same
-// bytes, a flag after --spec overrides the file, and usage errors and
-// unwritable artifacts exit with the status each CLI documents (2 for
-// usage, 1 for a failed write).
+// End-to-end checks of the command-line front ends, run as subprocesses:
+// a spec file and the equivalent flags produce the same bytes, a flag
+// after --spec overrides the file, and usage errors and unwritable
+// artifacts exit with the status each CLI documents (2 for usage, 1 for a
+// failed write). explore_cli takes no spec file; only its usage errors are
+// checked here.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -41,6 +42,7 @@ CliRun sweep(const std::string& args) { return run(HTNOC_SWEEP_CLI, args); }
 CliRun campaign(const std::string& args) {
   return run(HTNOC_CAMPAIGN_CLI, args);
 }
+CliRun explore(const std::string& args) { return run(HTNOC_EXPLORE_CLI, args); }
 
 std::string spec_file(const std::string& name) {
   return std::string(HTNOC_SPEC_DIR) + "/" + name;
@@ -131,7 +133,8 @@ TEST_F(Cli, UsageErrorsExitTwo) {
   // A sign on a count flag is a usage error, not a wrapped 2^64 - k; the
   // audit period takes the range a spec file's audit_period takes.
   for (const char* args :
-       {"--scenarios abc", "--topologies ring", "--shard 3/2", "--no-such-flag",
+       {"--scenarios abc", "--topologies ring", "--topologies torus",
+        "--topologies cmesh,torus", "--shard 3/2", "--no-such-flag",
         "--scenarios", "--spec /nonexistent/spec.json", "--audit-period -1",
         "--audit-period 0", "--scenarios -1", "--snapshot-warmup -1",
         "--scenarios 18446744073709551615"}) {
@@ -141,6 +144,16 @@ TEST_F(Cli, UsageErrorsExitTwo) {
                            "--cycles", "--spec /nonexistent/spec.json",
                            "--cycles -1"}) {
     EXPECT_EQ(sweep(args).status, 2) << "sweep_cli " << args;
+  }
+  // Every value explore_cli cannot run is refused before the first cycle:
+  // unknown names, a link the 4x4 fabric lacks (router 0 has no North
+  // neighbour), a rate the traffic model refuses, and signed counts.
+  for (const char* args :
+       {"--app bogus", "--mode bogus", "--routing bogus", "--scheme bogus",
+        "--attack 99:N", "--attack 0:N", "--attack 4:X", "--attack -1:N",
+        "--rate -1", "--cycles abc", "--cycles", "--no-such-flag",
+        "--cycles -1", "--killsw -1"}) {
+    EXPECT_EQ(explore(args).status, 2) << "explore_cli " << args;
   }
 }
 

@@ -24,9 +24,9 @@ sim::SimConfig audited_config() {
   return sc;
 }
 
-/// The clean-scenario suite runs on every fabric family: the auditor's
-/// silence must be a property of the protocol, not of the paper's 4x4
-/// concentrated mesh.
+/// The clean-scenario suite runs on both fabric kinds and on a non-square
+/// grid: the auditor's silence must be a property of the protocol, not of
+/// the paper's 4x4 concentrated mesh.
 struct FabricParam {
   const char* label;
   TopologyKind kind;
@@ -38,7 +38,7 @@ struct FabricParam {
 constexpr FabricParam kFabrics[] = {
     {"cmesh4x4", TopologyKind::kConcentratedMesh, 4, 4, 4},
     {"mesh8x8", TopologyKind::kMesh, 8, 8, 1},
-    {"torus8x8", TopologyKind::kTorus, 8, 8, 1},
+    {"cmesh8x4c2", TopologyKind::kConcentratedMesh, 8, 4, 2},
 };
 
 /// gtest's fallback printer dumps the struct's bytes, label pointer

@@ -6,8 +6,8 @@
 // pointer or RNG word anywhere in the simulator fails the run at the cycle
 // it appears. The contract is fabric-agnostic,
 // so the state-evolution tests run on the paper's 4x4 concentrated mesh,
-// a plain 8x8 mesh and an 8x8 torus, plus a 64x64 mesh for the sharded
-// large-fabric regime.
+// a plain 8x8 mesh and a non-square 8x4 mesh with two cores per router,
+// plus a 64x64 mesh for the sharded large-fabric regime.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,7 +39,7 @@ struct Fabric {
 constexpr Fabric kFabrics[] = {
     {"cmesh4x4", TopologyKind::kConcentratedMesh, 4, 4, 4},
     {"mesh8x8", TopologyKind::kMesh, 8, 8, 1},
-    {"torus8x8", TopologyKind::kTorus, 8, 8, 1},
+    {"cmesh8x4c2", TopologyKind::kConcentratedMesh, 8, 4, 2},
 };
 
 /// Printed as its label: gtest's fallback printer would dump the struct's

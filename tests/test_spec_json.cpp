@@ -128,6 +128,8 @@ TEST(SweepSpecJson, RejectionCorpus) {
       R"({"replicates": 0})",
       R"({"cycles": 0})",
       R"({"noc": {"topology": "hypercube"}})",
+      // The torus was retired: x-y routing over its wrap links deadlocks.
+      R"({"noc": {"topology": "torus"}})",
       R"({"noc": {"mesh_width": 1}})",
       R"({"noc": {"mesh_width": 65}})",
       R"({"noc": {"step_threads": 0}})",
@@ -138,6 +140,8 @@ TEST(SweepSpecJson, RejectionCorpus) {
       // Structurally invalid configurations (NocConfig::validate()).
       R"({"noc": {"topology": "mesh", "concentration": 4}})",
       R"({"noc": {"tdm": true, "vcs_per_port": 3}})",
+      // 65,536 cores: one more than a NodeId can name.
+      R"({"noc": {"mesh_width": 64, "mesh_height": 64, "concentration": 16}})",
       // Empty axes make an empty grid.
       R"({"modes": []})",
       R"({"profiles": []})",
@@ -169,7 +173,7 @@ TEST(CampaignSpecJson, RoundTripFixedPoint) {
     "scenarios": 500,
     "step_threads": 2,
     "audit_period": 128,
-    "topologies": ["cmesh", "mesh", "torus"]
+    "topologies": ["cmesh", "mesh"]
   })";
   const std::string once = canon_campaign(doc);
   EXPECT_EQ(canon_campaign(once), once);
@@ -179,8 +183,8 @@ TEST(CampaignSpecJson, RoundTripFixedPoint) {
   EXPECT_EQ(spec.scenarios, 500u);
   EXPECT_EQ(spec.step_threads, 2);
   EXPECT_EQ(spec.audit.period, 128u);
-  ASSERT_EQ(spec.topologies.size(), 3u);
-  EXPECT_EQ(spec.topologies[2], TopologyKind::kTorus);
+  ASSERT_EQ(spec.topologies.size(), 2u);
+  EXPECT_EQ(spec.topologies[1], TopologyKind::kMesh);
 }
 
 TEST(CampaignSpecJson, DefaultsRoundTrip) {
@@ -202,6 +206,7 @@ TEST(CampaignSpecJson, RejectionCorpus) {
       R"({"audit_period": 0})",
       R"({"topologies": "cmesh"})",
       R"({"topologies": ["ring"]})",
+      R"({"topologies": ["torus"]})",
       R"([])",
   };
   for (const char* doc : corpus) {

@@ -1,9 +1,9 @@
-// Golden-model differential suite for the topology/routing layer.
+// Golden-model differential suite for fabric construction and routing.
 //
 // Per-cycle verify::state_digest of the paper's 4x4 concentrated mesh and
 // its traffic generator under idle, loaded and attacked traffic is checked
 // in under tests/golden/cmesh4x4_*.state.digests, and every run is
-// compared against it, so any refactor of topology construction, routing
+// compared against it, so any refactor of fabric construction, routing
 // selection or the step loop that changes even one field of simulator
 // state on the seed fabric fails here at the exact cycle it diverges.
 //

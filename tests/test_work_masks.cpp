@@ -37,8 +37,8 @@ constexpr MaskCase kCases[] = {
     {"cmesh4x4", TopologyKind::kConcentratedMesh, 4, 4, 4, 4},
     {"mesh8x8", TopologyKind::kMesh, 8, 8, 1, 1},
     {"mesh8x8", TopologyKind::kMesh, 8, 8, 1, 4},
-    {"torus8x8", TopologyKind::kTorus, 8, 8, 1, 1},
-    {"torus8x8", TopologyKind::kTorus, 8, 8, 1, 4},
+    {"cmesh8x4c2", TopologyKind::kConcentratedMesh, 8, 4, 2, 1},
+    {"cmesh8x4c2", TopologyKind::kConcentratedMesh, 8, 4, 2, 4},
 };
 
 /// Printed as "<fabric>_t<threads>", so the ctest names are stable.
