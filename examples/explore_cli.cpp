@@ -9,6 +9,7 @@
 // summary — the fastest way to poke at the system's behaviour space.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -50,7 +51,8 @@ void usage() {
       "output)\n"
       "  --attack R:D      implant a TASP on router R's link in direction "
       "D (N|S|E|W); repeatable\n"
-      "  --target K=V      dest|src|vc|mem|full =value (default dest=0)\n"
+      "  --target K=V      dest|src|dest_src|vc|mem|full =value (default "
+      "dest=0); a value no flit on the fabric can carry is refused\n"
       "  --killsw CYC      enable the kill switch at cycle CYC (default "
       "1000)\n"
       "  --cycles N        simulate N cycles (default 4000)\n"
@@ -128,7 +130,7 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& arg) {
         throw ContractViolation("--target expects K=V, got " + v);
       }
       opt.target_kind = parse_kind(v.substr(0, eq));
-      opt.target_value = std::stoull(v.substr(eq + 1), nullptr, 0);
+      opt.target_value = cli::parse_count(v.substr(eq + 1), 0);
     } else if (arg == "--killsw") {
       opt.killsw_at = cli::parse_count(next());
     } else if (arg == "--cycles") {
@@ -148,6 +150,34 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& arg) {
   return true;
 }
 
+/// Refuse a --target value that no flit on the fabric carries in a field
+/// the kind compares: such an implant never fires. `full` compares every
+/// field, so its one value must fit all of them.
+void check_target(trojan::TargetKind kind, std::uint64_t value,
+                  const NocConfig& noc, const MeshGeometry& geom) {
+  using trojan::TargetKind;
+  const bool router_field = kind == TargetKind::kDest ||
+                            kind == TargetKind::kSrc ||
+                            kind == TargetKind::kDestSrc ||
+                            kind == TargetKind::kFull;
+  const bool vc_field = kind == TargetKind::kVc || kind == TargetKind::kFull;
+  const bool mem_field = kind == TargetKind::kMem || kind == TargetKind::kFull;
+  const std::string what =
+      "--target " + trojan::to_string(kind) + "=" + std::to_string(value);
+  if (router_field &&
+      value >= static_cast<std::uint64_t>(geom.num_routers())) {
+    throw ContractViolation(what + ": the fabric has " +
+                            std::to_string(geom.num_routers()) + " routers");
+  }
+  if (vc_field && value >= static_cast<std::uint64_t>(noc.vcs_per_port)) {
+    throw ContractViolation(what + ": a port has " +
+                            std::to_string(noc.vcs_per_port) + " VCs");
+  }
+  if (mem_field && value > std::numeric_limits<std::uint32_t>::max()) {
+    throw ContractViolation(what + ": memory addresses are 32 bits");
+  }
+}
+
 sim::SimConfig make_config(const Options& opt) {
   sim::SimConfig sc;
   sc.noc.tdm_enabled = opt.tdm;
@@ -157,6 +187,7 @@ sim::SimConfig make_config(const Options& opt) {
   if (links.empty()) links.push_back({4, Direction::kNorth});
   const MeshGeometry geom(sc.noc.mesh_width, sc.noc.mesh_height,
                           sc.noc.concentration);
+  check_target(opt.target_kind, opt.target_value, sc.noc, geom);
   for (const LinkRef& l : links) {
     if (l.from >= geom.num_routers() || !geom.has_neighbor(l.from, l.dir)) {
       throw ContractViolation("--attack " + std::to_string(l.from) + ":" +

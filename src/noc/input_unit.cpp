@@ -24,19 +24,24 @@ void InputUnit::process_staged(Cycle now,
     ++stats_.flits_received;
     const ecc::DecodeResult res =
         predecoded != nullptr ? predecoded[lane++] : codec_.decode(phit.codeword);
-
-    FaultObservation obs;
-    obs.now = now;
-    obs.receiver = router_;
-    obs.in_port = port_;
-    obs.flit = phit.flit;
-    obs.ecc = res;
-    obs.obf = phit.obf;
-    obs.attempt = phit.attempt;
+    // What the threat detector sees; built only when one is attached.
+    const auto observation = [&] {
+      FaultObservation obs;
+      obs.now = now;
+      obs.receiver = router_;
+      obs.in_port = port_;
+      obs.flit = phit.flit;
+      obs.ecc = res;
+      obs.obf = phit.obf;
+      obs.attempt = phit.attempt;
+      return obs;
+    };
 
     if (ecc::needs_retransmission(res.status)) {
       NackAdvice advice;
-      if (detector_ != nullptr) advice = detector_->on_uncorrectable(obs);
+      if (detector_ != nullptr) {
+        advice = detector_->on_uncorrectable(observation());
+      }
       AckMsg nack;
       nack.packet = phit.flit.packet;
       nack.seq = phit.flit.seq;
@@ -67,7 +72,7 @@ void InputUnit::process_staged(Cycle now,
 
     if (res.status == ecc::DecodeStatus::kCorrectedSingle) {
       ++stats_.corrected_singles;
-      if (detector_ != nullptr) detector_->on_corrected(obs);
+      if (detector_ != nullptr) detector_->on_corrected(observation());
       if (tap_.on(trace::Category::kEcc)) {
         trace::Event e =
             trace::make_event(trace::EventType::kEccCorrected, now,
@@ -80,7 +85,7 @@ void InputUnit::process_staged(Cycle now,
         tap_.emit(e);
       }
     } else if (detector_ != nullptr) {
-      detector_->on_clean(obs);
+      detector_->on_clean(observation());
     }
 
     AckMsg ack;
@@ -126,6 +131,7 @@ void InputUnit::process_staged(Cycle now,
         e.decoded_word = decoded;
         e.arrived = now;
         station_.push_back(std::move(e));
+        ++occupancy_;
         // Every stationed flit still owns its upstream credit (returned only
         // after delivery + pop), so the station can never outgrow the port's
         // credit capacity.
@@ -176,6 +182,7 @@ void InputUnit::note_clean_wire(Cycle now, PacketId packet, int seq,
         const Cycle effective =
             now + obf::undo_penalty_cycles(it->phit.obf.method);
         it = station_.erase(it);
+        --occupancy_;
         pending.push_back({f.packet, f.seq, word});
         deliver(effective, std::move(f));
       } else {
@@ -234,6 +241,7 @@ void InputUnit::deliver(Cycle effective_arrival, Flit f) {
 
   stream_insert(*stream, f, effective_arrival);
   ++b.occupancy;
+  ++occupancy_;
 }
 
 InputUnit::PurgeResult InputUnit::purge_packet(Cycle now, PacketId p) {
@@ -251,6 +259,7 @@ InputUnit::PurgeResult InputUnit::purge_packet(Cycle now, PacketId p) {
         res.buffered_uids.push_back(arena_.flit(h).flit_uid());
         ++res.flits_purged;
         --b.occupancy;
+        --occupancy_;
         if (link_ != nullptr) {
           link_->send_credit(now, CreditMsg{static_cast<VcId>(vc)});
         }
@@ -275,6 +284,7 @@ InputUnit::PurgeResult InputUnit::purge_packet(Cycle now, PacketId p) {
         link_->send_credit(now, CreditMsg{it->phit.flit.vc});
       }
       it = station_.erase(it);
+      --occupancy_;
     } else if (it->phit.obf.partner_packet == p) {
       // Partner gone before arrival: the scrambled data is unrecoverable;
       // escalate the purge to that packet.
@@ -302,6 +312,7 @@ Flit InputUnit::pop_front_flit(Cycle now, int vc) {
   arena_.release(h);
   ++s.next_seq;
   --b.occupancy;
+  --occupancy_;
 
   // Return the buffer slot upstream.
 #ifdef HTNOC_MUTATION_SKIP_CREDIT

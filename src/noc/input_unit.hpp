@@ -162,12 +162,11 @@ class InputUnit {
     return arena_.arrival(s.head);
   }
 
-  /// Total buffered flits across VCs (the paper's input-port utilization).
-  [[nodiscard]] int occupancy() const {
-    int n = 0;
-    for (const auto& v : vcs_) n += v.occupancy;
-    return static_cast<int>(n + station_.size());
-  }
+  /// Total buffered flits across VCs plus scramble-station holds (the
+  /// paper's input-port utilization). Derived state: a counter kept by
+  /// deliver, pop_front_flit, purge_packet and the station, rebuilt on
+  /// snapshot load, so the active-set check reads one word.
+  [[nodiscard]] int occupancy() const noexcept { return occupancy_; }
 
   /// True when the front stream of `vc` has its in-order flit ready for SA
   /// (buffer-write stage complete) this cycle.
@@ -281,11 +280,13 @@ class InputUnit {
   void note_clean_wire(Cycle now, PacketId packet, int seq, std::uint64_t wire);
   /// Seq-sorted insertion into a stream's arena list.
   void stream_insert(PacketStream& s, const Flit& f, Cycle arrival);
-  /// Recompute busy_vcs_ from the VC buffers (snapshot load).
-  void rebuild_busy_vcs() {
+  /// Recompute busy_vcs_ and occupancy_ from the buffers (snapshot load).
+  void rebuild_derived() {
     busy_vcs_ = 0;
+    occupancy_ = static_cast<int>(station_.size());
     for (std::size_t v = 0; v < vcs_.size(); ++v) {
       if (!vcs_[v].streams.empty()) busy_vcs_ |= 1u << v;
+      occupancy_ += vcs_[v].occupancy;
     }
   }
 
@@ -314,6 +315,7 @@ class InputUnit {
   pool::FlitArena arena_;  ///< Owns every VC-buffered flit of this port.
   std::vector<VcBuf> vcs_;
   std::uint32_t busy_vcs_ = 0;  ///< See busy_vcs().
+  int occupancy_ = 0;           ///< See occupancy().
   std::vector<LinkPhit> staged_arrivals_;  ///< Drained, not yet processed.
   std::vector<StationEntry> station_;
   pool::Ring<CachedWire> wire_cache_;

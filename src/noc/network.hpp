@@ -240,6 +240,12 @@ class Network {
   std::vector<std::unique_ptr<Link>> inj_links_;
   std::vector<std::unique_ptr<Link>> ej_links_;
 
+  // In-flight words, one PortCounts per router port (routers ascending)
+  // then one per NI; see PortCounts and Link::bind_counts. Derived state:
+  // never serialized, re-derived by each link when a snapshot loads. Each
+  // word has one raiser (its link's pusher, compute phase) and one lowerer
+  // (its link's drainer, drain phase; purges run between steps).
+  std::vector<PortCounts> inflight_;
   std::set<LinkRef> disabled_;
   PurgeTotals purge_totals_;
   StepStats step_stats_;

@@ -49,8 +49,8 @@ bool NetworkInterface::try_inject(Cycle now, const PacketInfo& info,
 }
 
 void NetworkInterface::drain(Cycle now) {
-  out_.drain_control(now);
-  in_.drain_link(now);
+  if (counts_->control != 0) out_.drain_control(now);
+  if (counts_->phits != 0) in_.drain_link(now);
 }
 
 void NetworkInterface::compute(Cycle now) {
@@ -58,12 +58,6 @@ void NetworkInterface::compute(Cycle now) {
   step_ejection(now);
   step_injection(now);
   out_.step_lt(now);
-}
-
-void NetworkInterface::step(Cycle now) {
-  drain(now);
-  compute(now);
-  flush_ejections(now);
 }
 
 void NetworkInterface::flush_ejections(Cycle now) {

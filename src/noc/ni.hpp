@@ -40,11 +40,18 @@ class NetworkInterface {
     std::uint64_t inject_rejects = 0;  ///< try_inject refused: queue full.
   };
 
-  NetworkInterface(const NocConfig& cfg, NodeId core)
+  /// `counts` is the NI's two words of the network's in-flight array:
+  /// phits on the ejection link, credits and ACK/NACKs on the injection
+  /// link, which the network keeps bound to those links.
+  NetworkInterface(const NocConfig& cfg, NodeId core,
+                   const PortCounts* counts)
       : cfg_(cfg),
         core_(core),
+        counts_(counts),
         out_(cfg, "ni" + std::to_string(core) + ".inj"),
-        in_(cfg, kInvalidRouter, /*port=*/-1) {}
+        in_(cfg, kInvalidRouter, /*port=*/-1) {
+    HTNOC_EXPECT(counts != nullptr);
+  }
 
   /// Wire the NI to its router's local port pair.
   void connect(Link* to_router, Link* from_router) {
@@ -76,7 +83,8 @@ class NetworkInterface {
   /// deadlock condition for Figs. 11/12).
   [[nodiscard]] bool injection_full() const { return saturated_; }
 
-  /// Drain phase of the two-phase step (see Router::drain).
+  /// Drain phase of the two-phase step (see Router::drain): pops only the
+  /// links whose words are non-zero.
   void drain(Cycle now);
   /// Compute phase: control, ejection, injection, LT over the staged
   /// messages. Delivery effects that touch shared state — the audit
@@ -91,21 +99,17 @@ class NetworkInterface {
   /// generator backlog and inject on a later generator step).
   void flush_ejections(Cycle now);
 
-  /// Advance one cycle (serial drain + compute + flush, for standalone
-  /// use; Network sequences the three explicitly).
-  void step(Cycle now);
-
   /// Active-set check (see Router::has_work): false only when stepping
-  /// would be a no-op — empty source queues, no retransmission slots, no
-  /// buffered ejection flits, no phit inbound on the ejection link, no
-  /// credit/ACK inbound on the injection link.
+  /// would be a no-op — both in-flight words zero (no phit inbound on the
+  /// ejection link, no credit/ACK inbound on the injection link), empty
+  /// source queues, no retransmission slots and no buffered ejection flits.
   [[nodiscard]] bool has_work() const {
-    if (injection_occupancy() != 0 || in_.occupancy() != 0) return true;
-    const Link* ej = in_.link();
-    if (ej != nullptr && !ej->idle()) return true;
-    const Link* inj = out_.link();
-    return inj != nullptr && inj->has_reverse_traffic();
+    if ((counts_->phits | counts_->control) != 0) return true;
+    return injection_occupancy() != 0 || in_.occupancy() != 0;
   }
+
+  /// The NI's in-flight words (read-only; the links keep them).
+  [[nodiscard]] const PortCounts& counts() const noexcept { return *counts_; }
 
   /// Purge pass over the ejection input (run before purge_injection so the
   /// buffered-uid set is complete).
@@ -177,6 +181,7 @@ class NetworkInterface {
 
   const NocConfig& cfg_;
   NodeId core_;
+  const PortCounts* counts_;
   OutputUnit out_;  ///< Toward the router's local input port.
   InputUnit in_;    ///< From the router's local output port.
   std::array<DomainStream, 2> streams_;

@@ -78,9 +78,12 @@ bool OutputUnit::plan_lt(Cycle now) {
   SlotMeta& m = meta_[static_cast<std::size_t>(chosen)];
   const Flit& flit = payload_[static_cast<std::size_t>(chosen)].flit;
 
-  // A scramble partner must be another waiting slot behind this one.
+  // Only an L-Ob controller obfuscates, so without one the flit goes plain
+  // and no scramble partner is looked for. A partner must be another
+  // waiting slot behind this one.
   int partner_idx = -1;
-  if (!m.forced_plain) {
+  ObfuscationTag tag;
+  if (lob_ != nullptr && !m.forced_plain) {
     for (std::size_t j = static_cast<std::size_t>(chosen) + 1; j < meta_.size();
          ++j) {
       const SlotMeta& pm = meta_[j];
@@ -90,10 +93,6 @@ bool OutputUnit::plan_lt(Cycle now) {
         break;
       }
     }
-  }
-
-  ObfuscationTag tag;
-  if (lob_ != nullptr && !m.forced_plain) {
     tag = lob_->plan(now, flit, m.attempt, m.escalate, partner_idx >= 0);
   }
 
