@@ -1,7 +1,7 @@
 // Interactive experiment explorer: compose your own attack/defense scenario
 // from the command line without writing code.
 //
-//   $ ./explore_cli --app facesim --mode lob --attack 4:N --target dest=0 \
+//   $ ./explore_cli --app facesim --mode lob --attack 4:N --target dest=0
 //                   --cycles 5000
 //   $ ./explore_cli --help
 //

@@ -3,8 +3,8 @@
 // profile x injection-rate scale x seed replicates, executed on N worker
 // threads with bit-deterministic results (same output for any -j).
 //
-//   sweep_cli --modes none,lob,reroute --attacks none,single \
-//             --profiles blackscholes,fft --rates 0.5,1.0,1.5 \
+//   sweep_cli --modes none,lob,reroute --attacks none,single
+//             --profiles blackscholes,fft --rates 0.5,1.0,1.5
 //             --replicates 4 --cycles 3000 --jobs 8 --json sweep.json
 //
 // Prints the aggregated summary (mean/stddev/min/max per grid point) as

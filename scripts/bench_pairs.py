@@ -18,10 +18,11 @@ on both sides alike.
 The result goes to BENCH_<pr>.json at the repository root (or --out). For
 each workload and each end-to-end metric BENCHMARK.json names, it holds
 each side's values, median and quartiles (statistics.quantiles, n=4), the
-pairs the change won and the relative change of the medians; beside them
-the seeds, the run seconds, nproc, both commit ids, and whether every run
-ended in its side's first end state for its seed (counts line and
-end-state hash) and in the parent's end state.
+pairs the change won, the relative change of the medians and a verdict
+against the metric's bound (see verdict()); beside them the seeds, the run
+seconds, nproc, both commit ids, and whether every run ended in its side's
+first end state for its seed (counts line and end-state hash) and in the
+parent's end state.
 """
 import argparse
 import json
@@ -61,12 +62,36 @@ def head_wins(base, head, better):
     return sum(1 for b, h in zip(base, head) if h < b)
 
 
-def metric_summary(base, head, better):
+def verdict(base, head, better, bound):
+    """The no-regression verdict on one metric, `bound` a share of the
+    base median:
+
+    * "worse": the head's median is worse than the base's by more than
+      bound x the base median;
+    * otherwise "unresolved": either side's interquartile range exceeds
+      bound x the base median, unless every head run beats every base run;
+    * otherwise "not_worse".
+    """
+    bs, hs = spread(base), spread(head)
+    tolerance = bound * abs(bs["median"])
+    sign = 1 if better == "higher" else -1
+    if sign * (hs["median"] - bs["median"]) < -tolerance:
+        return "worse"
+    wide = max(bs["q3"] - bs["q1"], hs["q3"] - hs["q1"]) > tolerance
+    if better == "higher":
+        separated = min(head) > max(base)
+    else:
+        separated = max(head) < min(base)
+    return "unresolved" if wide and not separated else "not_worse"
+
+
+def metric_summary(base, head, better, bound):
     """One metric of one workload over all pairs (lists in pair order)."""
     bs, hs = spread(base), spread(head)
-    out = {"better": better, "base": {**bs, "values": base},
+    out = {"better": better, "bound": bound, "base": {**bs, "values": base},
            "head": {**hs, "values": head},
-           "head_wins": head_wins(base, head, better), "pairs": len(base)}
+           "head_wins": head_wins(base, head, better), "pairs": len(base),
+           "verdict": verdict(base, head, better, bound)}
     if bs["median"]:
         out["median_change"] = (hs["median"] - bs["median"]) / bs["median"]
         base_iqr = bs["q3"] - bs["q1"]
@@ -160,7 +185,7 @@ def bench_workload(trees, builds, workload, pairs, seconds, seed0, metrics):
         "metrics": {m["name"]: {"unit": m.get("unit"),
                                 **metric_summary(values["base"][m["name"]],
                                                  values["head"][m["name"]],
-                                                 m["better"])}
+                                                 m["better"], m["bound"])}
                     for m in metrics},
     }, commits
 

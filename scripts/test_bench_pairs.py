@@ -52,13 +52,56 @@ class Statistics(unittest.TestCase):
     def test_metric_summary(self):
         base = [100, 102, 98, 101, 99]
         head = [120, 119, 97, 125, 121]
-        m = bench_pairs.metric_summary(base, head, "higher")
+        m = bench_pairs.metric_summary(base, head, "higher", 0.25)
         self.assertEqual(m["head_wins"], 4)
         self.assertEqual(m["pairs"], 5)
         self.assertAlmostEqual(m["median_change"], 0.20)
         self.assertAlmostEqual(m["base_iqr"], 101.5 - 98.5)
         self.assertTrue(m["medians_differ_by_more_than_base_iqr"])
         self.assertEqual(m["base"]["values"], base)
+        self.assertEqual(m["bound"], 0.25)
+        self.assertEqual(m["verdict"], "not_worse")
+
+
+class Verdict(unittest.TestCase):
+    def test_worse_when_the_median_falls_past_the_bound(self):
+        base = [100, 101, 99, 100, 100]
+        head = [70, 71, 69, 70, 70]  # median 70: 30% below, bound 25%
+        self.assertEqual(bench_pairs.verdict(base, head, "higher", 0.25), "worse")
+        # The same numbers for a lower-is-better metric are a gain.
+        self.assertEqual(bench_pairs.verdict(base, head, "lower", 0.25),
+                         "not_worse")
+        # A lower-is-better metric is worse when it rises past the bound.
+        self.assertEqual(bench_pairs.verdict(head, base, "lower", 0.25), "worse")
+
+    def test_a_median_just_inside_the_bound_is_not_worse(self):
+        base = [100, 101, 99, 100, 100]
+        head = [76, 77, 75, 76, 76]
+        self.assertEqual(bench_pairs.verdict(base, head, "higher", 0.25),
+                         "not_worse")
+
+    def test_unresolved_when_a_side_spreads_past_the_bound(self):
+        base = [100, 100, 100, 100, 100]
+        head = [40, 70, 100, 130, 160]  # median even, IQR 90 > 25
+        self.assertEqual(bench_pairs.verdict(base, head, "higher", 0.25),
+                         "unresolved")
+        # Either side's spread counts.
+        self.assertEqual(bench_pairs.verdict(head, [100] * 5, "higher", 0.25),
+                         "unresolved")
+
+    def test_a_wide_spread_is_resolved_when_every_head_run_wins(self):
+        base = [10, 40, 60, 80, 100]
+        head = [101, 150, 200, 250, 300]
+        self.assertEqual(bench_pairs.verdict(base, head, "higher", 0.25),
+                         "not_worse")
+        # One head run inside the base's range leaves it unresolved.
+        head[0] = 99
+        self.assertEqual(bench_pairs.verdict(base, head, "higher", 0.25),
+                         "unresolved")
+        # For a lower-is-better metric every head run must be lower.
+        self.assertEqual(bench_pairs.verdict([101, 150, 200, 250, 300],
+                                             [10, 40, 60, 80, 100], "lower",
+                                             0.25), "not_worse")
 
 
 class EndStates(unittest.TestCase):
@@ -91,8 +134,9 @@ class Workload(unittest.TestCase):
             return mock.Mock(returncode=0, stdout=fake_output(value, f"s{seed}"),
                              stderr="")
 
-        metrics = [{"name": "cycles_per_s", "unit": "cycles/s", "better": "higher"},
-                   {"name": "setup_s", "unit": "s", "better": "lower"}]
+        metrics = [{"name": "cycles_per_s", "unit": "cycles/s", "better": "higher",
+                    "bound": 0.25},
+                   {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
         with mock.patch.object(bench_pairs.subprocess, "run", fake_run), \
                 mock.patch("sys.stderr"):
             rec, commits = bench_pairs.bench_workload(
@@ -109,6 +153,9 @@ class Workload(unittest.TestCase):
         self.assertEqual(cps["head_wins"], 3)
         self.assertEqual(cps["base"]["median"], 100)
         self.assertAlmostEqual(cps["median_change"], 0.25)
+        # Every head run beats three of four base runs, not all of them, and
+        # the base's outlier spreads its IQR to 75 > 25.
+        self.assertEqual(cps["verdict"], "unresolved")
         self.assertEqual(rec["metrics"]["setup_s"]["head_wins"], 3)
         self.assertEqual(rec["end_state"], {"base_stable": True, "head_stable": True,
                                             "head_matches_base": True})
@@ -122,7 +169,8 @@ class Workload(unittest.TestCase):
             return mock.Mock(returncode=0, stdout=fake_output(100, "s"), stderr="")
 
         spec = {"run_seconds": 7, "workloads": [{"name": "w"}],
-                "end_to_end": [{"name": "cycles_per_s", "better": "higher"}]}
+                "end_to_end": [{"name": "cycles_per_s", "better": "higher",
+                                "bound": 0.25}]}
         with tempfile.TemporaryDirectory() as tmp:
             for tree in ("base", "head"):
                 os.mkdir(os.path.join(tmp, tree))

@@ -92,11 +92,6 @@ DecodeResult Secded::decode(Codeword72 received) const noexcept {
       ((std::popcount(received.lo) +
         std::popcount(static_cast<unsigned>(received.hi))) &
        1) != 0;
-  return resolve(received, syndrome, parity_bad);
-}
-
-DecodeResult Secded::resolve(Codeword72 received, unsigned syndrome,
-                             bool parity_bad) const noexcept {
   DecodeResult r;
   r.syndrome = static_cast<std::uint8_t>(syndrome);
   r.overall_parity_bad = parity_bad;
@@ -132,35 +127,6 @@ DecodeResult Secded::resolve(Codeword72 received, unsigned syndrome,
   // zero: it is unrecoverable and no caller may consume it.
   r.status = DecodeStatus::kDetectedMultiple;
   return r;
-}
-
-void Secded::encode_batch(const std::uint64_t* data, Codeword72* out,
-                          std::size_t n) const noexcept {
-  // Encode is branch-free straight-line code; batching is the lane loop
-  // itself (segments and LUTs stay resident across lanes).
-  for (std::size_t i = 0; i < n; ++i) out[i] = encode(data[i]);
-}
-
-void Secded::decode_batch(const Codeword72* received, DecodeResult* out,
-                          std::size_t n) const noexcept {
-  constexpr std::size_t kChunk = 16;
-  unsigned syn[kChunk];
-  bool bad[kChunk];
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t m = n - base < kChunk ? n - base : kChunk;
-    // Hot pass: byte-sliced syndrome tables + popcount parity, all lanes.
-    for (std::size_t i = 0; i < m; ++i) {
-      const Codeword72& cw = received[base + i];
-      syn[i] = syndrome_of(cw.lo, cw.hi);
-      bad[i] = ((std::popcount(cw.lo) +
-                 std::popcount(static_cast<unsigned>(cw.hi))) &
-                1) != 0;
-    }
-    // Cold pass: per-lane outcome resolution (branches only here).
-    for (std::size_t i = 0; i < m; ++i) {
-      out[base + i] = resolve(received[base + i], syn[i], bad[i]);
-    }
-  }
 }
 
 const Secded& secded() {

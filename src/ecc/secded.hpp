@@ -25,7 +25,6 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -83,16 +82,6 @@ class Secded {
   /// Decode (and correct when possible) a received codeword.
   [[nodiscard]] DecodeResult decode(Codeword72 received) const noexcept;
 
-  /// Batched lane forms (docs/PERFORMANCE.md): encode/decode `n` contiguous
-  /// lanes in one call. Each lane's result is bit-identical to the scalar
-  /// call — decode_batch shares the scalar outcome resolver and merely
-  /// splits the work into a hot table pass (syndrome + parity over all
-  /// lanes) and a cold branchy resolve pass.
-  void encode_batch(const std::uint64_t* data, Codeword72* out,
-                    std::size_t n) const noexcept;
-  void decode_batch(const Codeword72* received, DecodeResult* out,
-                    std::size_t n) const noexcept;
-
   /// Extract the data bits of a codeword without any checking. Used by
   /// on-link inspectors (the trojan) which read wires directly.
   [[nodiscard]] std::uint64_t extract_data(const Codeword72& cw) const noexcept;
@@ -109,11 +98,6 @@ class Secded {
   }
 
  private:
-  /// Outcome resolution shared by decode and decode_batch: classify the
-  /// (syndrome, overall-parity) pair and correct/extract accordingly.
-  [[nodiscard]] DecodeResult resolve(Codeword72 received, unsigned syndrome,
-                                     bool parity_bad) const noexcept;
-
   /// One maximal run of data bits occupying consecutive `lo` codeword
   /// positions: data bits [first, first+width) live at lo bits
   /// [first+shift, first+shift+width). The layout yields five such runs

@@ -9,6 +9,7 @@
 // worked (paper Fig. 6, final step).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -25,18 +26,24 @@ struct StateCodec;  // snapshot/restore (src/verify/snapshot.cpp)
 namespace htnoc::mitigation {
 
 struct LObParams {
-  /// Escalation order. The default walks granularities from header (the
+  /// The default escalation order: it walks granularities from header (the
   /// usual DPI trigger region) out to the whole flit, across all three
-  /// methods.
-  std::vector<std::pair<ObfMethod, ObfGranularity>> sequence = {
-      {ObfMethod::kInvert, ObfGranularity::kHeader},
-      {ObfMethod::kShuffle, ObfGranularity::kHeader},
-      {ObfMethod::kScramble, ObfGranularity::kFlit},
-      {ObfMethod::kInvert, ObfGranularity::kFlit},
-      {ObfMethod::kShuffle, ObfGranularity::kFlit},
-      {ObfMethod::kInvert, ObfGranularity::kPayload},
-      {ObfMethod::kShuffle, ObfGranularity::kPayload},
-  };
+  /// methods. A constant array rather than an initializer list, which
+  /// GCC 12 at -O2 and above falsely reports as read uninitialized
+  /// (-Wmaybe-uninitialized) wherever this constructor is inlined.
+  static constexpr std::array<std::pair<ObfMethod, ObfGranularity>, 7>
+      kDefaultSequence{{
+          {ObfMethod::kInvert, ObfGranularity::kHeader},
+          {ObfMethod::kShuffle, ObfGranularity::kHeader},
+          {ObfMethod::kScramble, ObfGranularity::kFlit},
+          {ObfMethod::kInvert, ObfGranularity::kFlit},
+          {ObfMethod::kShuffle, ObfGranularity::kFlit},
+          {ObfMethod::kInvert, ObfGranularity::kPayload},
+          {ObfMethod::kShuffle, ObfGranularity::kPayload},
+      }};
+  /// Escalation order.
+  std::vector<std::pair<ObfMethod, ObfGranularity>> sequence{
+      kDefaultSequence.begin(), kDefaultSequence.end()};
   /// Consult the per-flow success log to skip straight to a proven method.
   bool use_success_log = true;
 };
@@ -47,9 +54,7 @@ struct LObParams {
 /// standalone effect.
 [[nodiscard]] inline LObParams forced_lob_params(ObfMethod method,
                                                 ObfGranularity granularity) {
-  LObParams p;
-  p.sequence = {{method, granularity}};
-  return p;
+  return {.sequence = {{method, granularity}}};
 }
 
 class LObController final : public htnoc::LObController {

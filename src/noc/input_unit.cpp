@@ -15,15 +15,12 @@ struct ScopedClear {
 };
 }  // namespace
 
-void InputUnit::process_staged(Cycle now,
-                               const ecc::DecodeResult* predecoded) {
+void InputUnit::process_staged(Cycle now) {
   if (link_ == nullptr || staged_arrivals_.empty()) return;
   ScopedClear<LinkPhit> clear{staged_arrivals_};
-  std::size_t lane = 0;
   for (LinkPhit& phit : staged_arrivals_) {
     ++stats_.flits_received;
-    const ecc::DecodeResult res =
-        predecoded != nullptr ? predecoded[lane++] : codec_.decode(phit.codeword);
+    const ecc::DecodeResult res = codec_.decode(phit.codeword);
     // What the threat detector sees; built only when one is attached.
     const auto observation = [&] {
       FaultObservation obs;

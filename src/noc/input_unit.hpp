@@ -116,13 +116,8 @@ class InputUnit {
   }
 
   /// Compute phase: decode, ack/nack, de-obfuscate and buffer the staged
-  /// phits. All link interactions here are sends (single writer). When the
-  /// router batch-decoded this port's staged codewords already (the SECDED
-  /// lane batching in Router::compute), `predecoded` points at one
-  /// DecodeResult per staged phit, in staging order; null means decode
-  /// inline per phit (NI path, standalone units).
-  void process_staged(Cycle now,
-                      const ecc::DecodeResult* predecoded = nullptr);
+  /// phits. All link interactions here are sends (single writer).
+  void process_staged(Cycle now);
 
   /// Pull this cycle's phit arrivals off the link: decode, ack/nack,
   /// de-obfuscate, buffer. Serial convenience wrapper (drain + compute) for
@@ -130,15 +125,6 @@ class InputUnit {
   void process_arrivals(Cycle now) {
     drain_link(now);
     process_staged(now);
-  }
-
-  /// Staged phits awaiting the compute phase (the router's batched-decode
-  /// gather reads the codewords out in staging order).
-  [[nodiscard]] std::size_t staged_count() const noexcept {
-    return staged_arrivals_.size();
-  }
-  void append_staged_codewords(std::vector<Codeword72>& out) const {
-    for (const LinkPhit& p : staged_arrivals_) out.push_back(p.codeword);
   }
 
   [[nodiscard]] int num_vcs() const { return cfg_.vcs_per_port; }

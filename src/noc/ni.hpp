@@ -48,7 +48,7 @@ class NetworkInterface {
       : cfg_(cfg),
         core_(core),
         counts_(counts),
-        out_(cfg, "ni" + std::to_string(core) + ".inj"),
+        out_(cfg),
         in_(cfg, kInvalidRouter, /*port=*/-1) {
     HTNOC_EXPECT(counts != nullptr);
   }

@@ -60,9 +60,8 @@ int OutputUnit::find_slot(PacketId packet, int seq, SlotState state) {
   return -1;
 }
 
-bool OutputUnit::plan_lt(Cycle now) {
-  planned_slot_ = -1;
-  if (meta_.empty() || link_ == nullptr || !link_->can_send(now)) return false;
+void OutputUnit::step_lt(Cycle now) {
+  if (meta_.empty() || link_ == nullptr || !link_->can_send(now)) return;
 
   // Oldest eligible waiting slot wins; retransmissions are naturally the
   // oldest entries, giving them the priority the protocol needs.
@@ -74,9 +73,10 @@ bool OutputUnit::plan_lt(Cycle now) {
     chosen = static_cast<int>(i);
     break;
   }
-  if (chosen < 0) return false;
+  if (chosen < 0) return;
   SlotMeta& m = meta_[static_cast<std::size_t>(chosen)];
-  const Flit& flit = payload_[static_cast<std::size_t>(chosen)].flit;
+  SlotPayload& p = payload_[static_cast<std::size_t>(chosen)];
+  const Flit& flit = p.flit;
 
   // Only an L-Ob controller obfuscates, so without one the flit goes plain
   // and no scramble partner is looked for. A partner must be another
@@ -101,7 +101,7 @@ bool OutputUnit::plan_lt(Cycle now) {
     // breaking transmission-order-keyed triggers. No link traversal yet.
     m.eligible = now + kReorderHold;
     ++stats_.reorder_holds;
-    return false;
+    return;
   }
 
   std::uint64_t word = flit.wire;
@@ -119,22 +119,9 @@ bool OutputUnit::plan_lt(Cycle now) {
     word = obf::apply(word, tag);
   }
 
-  planned_slot_ = chosen;
-  planned_word_ = word;
-  planned_tag_ = tag;
-  return true;
-}
-
-void OutputUnit::commit_lt(Cycle now, Codeword72 cw) {
-  HTNOC_EXPECT(planned_slot_ >= 0);
-  SlotMeta& m = meta_[static_cast<std::size_t>(planned_slot_)];
-  SlotPayload& p = payload_[static_cast<std::size_t>(planned_slot_)];
-  planned_slot_ = -1;
-  const ObfuscationTag tag = planned_tag_;
-
   LinkPhit phit;
-  phit.flit = p.flit;
-  phit.codeword = cw;
+  phit.flit = flit;
+  phit.codeword = codec_.encode(word);
   phit.obf = tag;
   phit.attempt = m.attempt;
   link_->send(now, std::move(phit));

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -44,10 +43,9 @@ class OutputUnit {
   /// Cycles a kReorder-tagged flit is held so later flits overtake it.
   static constexpr Cycle kReorderHold = 3;
 
-  OutputUnit(const NocConfig& cfg, std::string name)
+  explicit OutputUnit(const NocConfig& cfg)
       : cfg_(cfg),
         codec_(cfg.ecc_scheme),
-        name_(std::move(name)),
         vc_allocated_(static_cast<std::size_t>(cfg.vcs_per_port), false),
         credits_(static_cast<std::size_t>(cfg.vcs_per_port), cfg.buffer_depth),
         last_credit_gain_(static_cast<std::size_t>(cfg.vcs_per_port), 0) {}
@@ -154,26 +152,10 @@ class OutputUnit {
     ++stats_.flits_accepted;
   }
 
-  /// LT stage, plan half: pick this cycle's slot, run the obfuscation
-  /// planner and produce the pre-ECC wire word. Returns true when a
-  /// transmission is planned; the caller MUST then encode planned_word()
-  /// and call commit_lt with the codeword (the router batches the encodes
-  /// of all its ports into one SECDED lane pass). Planning performs no link
-  /// sends and emits no trace events, so planning all ports before
-  /// committing any is order-equivalent to the old per-port step_lt loop.
-  [[nodiscard]] bool plan_lt(Cycle now);
-  [[nodiscard]] std::uint64_t planned_word() const noexcept {
-    return planned_word_;
-  }
-  /// LT stage, commit half: transmit the planned slot with its encoded
-  /// codeword (trace events, link send, state flip).
-  void commit_lt(Cycle now, Codeword72 cw);
-
-  /// LT stage: try to start one link traversal this cycle. Standalone
-  /// (non-batched) form: plan, self-encode, commit.
-  void step_lt(Cycle now) {
-    if (plan_lt(now)) commit_lt(now, codec_.encode(planned_word_));
-  }
+  /// LT stage: try to start one link traversal this cycle — pick the
+  /// oldest eligible slot, let the L-Ob controller choose its obfuscation,
+  /// encode the wire word and send it.
+  void step_lt(Cycle now);
 
   /// Drain phase of the two-phase step: pop this cycle's due credits and
   /// ACK/NACKs off the reverse channel into unit-local staging (pure pops;
@@ -296,7 +278,6 @@ class OutputUnit {
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] Link* link() const noexcept { return link_; }
 
  private:
@@ -332,7 +313,6 @@ class OutputUnit {
 
   const NocConfig& cfg_;
   ecc::CodecDispatch codec_;  ///< Scheme resolved once; no per-phit vcall.
-  std::string name_;
   Link* link_ = nullptr;
   LObController* lob_ = nullptr;
   trace::Tap tap_;
@@ -347,11 +327,6 @@ class OutputUnit {
   // FIFO by entry (retransmissions are oldest first); parallel lanes.
   std::vector<SlotMeta> meta_;
   std::vector<SlotPayload> payload_;
-  // Plan/commit hand-off (transient within one compute() call; never
-  // serialized — a snapshot can only happen between cycles).
-  int planned_slot_ = -1;
-  std::uint64_t planned_word_ = 0;
-  ObfuscationTag planned_tag_;
   Stats stats_;
 };
 

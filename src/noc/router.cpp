@@ -21,8 +21,7 @@ Router::Router(const NocConfig& cfg, RouterId id,
       id_(id),
       ports_(cfg.ports_per_router()),
       routing_(routing),
-      counts_(counts),
-      codec_(cfg.ecc_scheme) {
+      counts_(counts) {
   HTNOC_EXPECT(routing != nullptr && counts != nullptr);
   const int ports = ports_;
   HTNOC_EXPECT(ports <= 32);  // port masks are 32-bit
@@ -30,8 +29,7 @@ Router::Router(const NocConfig& cfg, RouterId id,
   outputs_.reserve(static_cast<std::size_t>(ports));
   for (int p = 0; p < ports; ++p) {
     inputs_.push_back(std::make_unique<InputUnit>(cfg_, id_, p));
-    outputs_.push_back(std::make_unique<OutputUnit>(
-        cfg_, "r" + std::to_string(id_) + ".out" + std::to_string(p)));
+    outputs_.push_back(std::make_unique<OutputUnit>(cfg_));
   }
   const int nreq = ports * cfg_.vcs_per_port;
   va_arbiters_.assign(static_cast<std::size_t>(nreq), RoundRobinArbiter(nreq));
@@ -48,10 +46,6 @@ Router::Router(const NocConfig& cfg, RouterId id,
       static_cast<std::size_t>(RoundRobinArbiter::words_for(nreq)), 0);
   sa_winner_vc_.assign(static_cast<std::size_t>(ports), -1);
   sa_out_req_.assign(static_cast<std::size_t>(ports), 0);
-  lane_cw_.reserve(static_cast<std::size_t>(ports));
-  lane_res_.reserve(static_cast<std::size_t>(ports));
-  lane_words_.reserve(static_cast<std::size_t>(ports));
-  lane_ports_.reserve(static_cast<std::size_t>(ports));
 }
 
 void Router::set_detector(ThreatDetector* det) {
@@ -101,62 +95,16 @@ void Router::compute(Cycle now) {
     out.process_staged_control(now);
     if (out.occupancy() == 0) slot_outputs_ &= ~(1u << p);
   }
-  // BW: accept phit arrivals into input buffers, SECDED-decoding all ports'
-  // staged codewords as one contiguous lane batch.
-  batched_bw(now);
+  // BW: each port that staged phits decodes and buffers them.
+  for (std::uint32_t m = std::exchange(bw_ports_, 0); m != 0; m &= m - 1) {
+    inputs_[static_cast<std::size_t>(std::countr_zero(m))]->process_staged(now);
+  }
   stage_rc(now);
   stage_va(now);
   stage_sa_st(now);
-  batched_lt(now);
-}
-
-void Router::batched_bw(Cycle now) {
-  // Gather staged codewords across every input port, decode them in one
-  // batch (one scheme dispatch, contiguous LUT passes), then let each port
-  // consume its slice. Per-port behavior — ACK/NACK order, detector
-  // callbacks, trace events — is identical to per-phit decoding because the
-  // decode is pure and the slices preserve staging order. Only the ports
-  // drain() saw stage phits take part.
-  const std::uint32_t ports = std::exchange(bw_ports_, 0);
-  if (ports == 0) return;
-  lane_cw_.clear();
-  for (std::uint32_t m = ports; m != 0; m &= m - 1) {
-    inputs_[static_cast<std::size_t>(std::countr_zero(m))]
-        ->append_staged_codewords(lane_cw_);
-  }
-  lane_res_.resize(lane_cw_.size());
-  codec_.decode_batch(lane_cw_.data(), lane_res_.data(), lane_cw_.size());
-  std::size_t offset = 0;
-  for (std::uint32_t m = ports; m != 0; m &= m - 1) {
-    InputUnit& in = *inputs_[static_cast<std::size_t>(std::countr_zero(m))];
-    const std::size_t n = in.staged_count();
-    in.process_staged(now, lane_res_.data() + offset);
-    offset += n;
-  }
-}
-
-void Router::batched_lt(Cycle now) {
-  // Plan every output port's link traversal first (slot choice, obfuscation,
-  // L-Ob planning — port-ascending, exactly the pre-batch call order), then
-  // SECDED-encode all planned words as one lane batch, then commit the
-  // sends in the same port order so trace/injector sequences are unchanged.
-  // Outputs holding no slot have nothing to send and are not planned.
-  lane_words_.clear();
-  lane_ports_.clear();
+  // LT: each output holding a slot encodes and sends, port-ascending.
   for (std::uint32_t m = slot_outputs_; m != 0; m &= m - 1) {
-    const int p = std::countr_zero(m);
-    OutputUnit& out = *outputs_[static_cast<std::size_t>(p)];
-    if (out.plan_lt(now)) {
-      lane_words_.push_back(out.planned_word());
-      lane_ports_.push_back(p);
-    }
-  }
-  if (lane_words_.empty()) return;
-  lane_cw_.resize(lane_words_.size());
-  codec_.encode_batch(lane_words_.data(), lane_cw_.data(), lane_words_.size());
-  for (std::size_t i = 0; i < lane_ports_.size(); ++i) {
-    outputs_[static_cast<std::size_t>(lane_ports_[i])]->commit_lt(now,
-                                                                 lane_cw_[i]);
+    outputs_[static_cast<std::size_t>(std::countr_zero(m))]->step_lt(now);
   }
 }
 

@@ -1,5 +1,5 @@
 // The 5-stage virtual-channel router (paper Sec. IV, Fig. 5):
-//   BW/RC  buffer write + route computation   (InputUnit::process_arrivals + stage_rc)
+//   BW/RC  buffer write + route computation   (InputUnit::process_staged + stage_rc)
 //   VA     virtual-channel allocation          (stage_va, separable, round-robin)
 //   SA     switch allocation                   (stage_sa_st, separable, round-robin)
 //   ST     switch traversal into the output / retransmission buffer
@@ -7,9 +7,10 @@
 //
 // Each stage visits only the ports and VCs with work: the drain pops only
 // links whose in-flight words are non-zero and records which ports staged
-// control or phits, RC, VA and SA walk every input's busy-VC mask, LT plans
+// control or phits, RC, VA and SA walk every input's busy-VC mask, LT steps
 // only the outputs holding slots, and the allocators arbitrate over request
-// bit masks.
+// bit masks. Each input unit decodes the phits it receives and each output
+// unit encodes the flit it sends.
 //
 // Port numbering: 0..3 = N,S,E,W; 4..4+concentration-1 = local ports.
 #pragma once
@@ -151,8 +152,6 @@ class Router {
   void stage_rc(Cycle now);
   void stage_va(Cycle now);
   void stage_sa_st(Cycle now);
-  void batched_bw(Cycle now);
-  void batched_lt(Cycle now);
 
   [[nodiscard]] int va_arbiter_index(int out_port, int out_vc) const {
     return out_port * cfg_.vcs_per_port + out_vc;
@@ -178,15 +177,9 @@ class Router {
   std::vector<RoundRobinArbiter> sa_output_arbiters_;
 
   // --- persistent per-cycle scratch (docs/PERFORMANCE.md) ---
-  // The allocator stages and the batched ECC lanes reuse these arenas every
-  // cycle instead of re-allocating request masks and lane buffers. All are
-  // transient within one step and never serialized; the masks are all-zero
-  // between steps.
-  ecc::CodecDispatch codec_;             ///< Router-level batch codec.
-  std::vector<Codeword72> lane_cw_;      ///< Gathered staged codewords.
-  std::vector<ecc::DecodeResult> lane_res_;  ///< Batch-decoded results.
-  std::vector<std::uint64_t> lane_words_;    ///< Planned LT words to encode.
-  std::vector<int> lane_ports_;              ///< Output port per planned word.
+  // The allocator stages reuse these arenas every cycle instead of
+  // re-allocating request masks. All are transient within one step and
+  // never serialized; the masks are all-zero between steps.
   int va_words_ = 1;  ///< 64-bit words per VA request row.
   /// VA request rows, va_words_ words per arbiter: bit requester_index of
   /// row va_arbiter_index is set when that input VC bids for that output VC.

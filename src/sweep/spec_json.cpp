@@ -9,11 +9,9 @@
 
 namespace htnoc::sweep {
 
-namespace {
-
 using json::Value;
 
-[[noreturn]] void bad(const std::string& path, const std::string& msg) {
+void bad(const std::string& path, const std::string& msg) {
   throw SpecError(path + ": " + msg);
 }
 
@@ -22,8 +20,6 @@ std::string hex_string(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
   return buf;
 }
-
-// --- typed accessors: json::TypeError re-thrown with the field path ---
 
 std::uint64_t get_u64(const Value& v, const std::string& path) {
   try {
@@ -42,6 +38,10 @@ std::uint64_t get_u64_range(const Value& v, const std::string& path,
   }
   return x;
 }
+
+namespace {
+
+// --- typed accessors: json::TypeError re-thrown with the field path ---
 
 int get_int_range(const Value& v, const std::string& path, int lo, int hi) {
   return static_cast<int>(

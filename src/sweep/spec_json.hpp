@@ -14,6 +14,7 @@
 // docs/REPRODUCING.md ("Spec files") documents the schema.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -26,6 +27,21 @@ namespace htnoc::sweep {
 class SpecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
+
+// --- accessors shared by the sweep and campaign spec codecs ---
+
+/// Throw SpecError("<path>: <msg>").
+[[noreturn]] void bad(const std::string& path, const std::string& msg);
+/// `v` as a uint64 (a number or a decimal/hex string); a json::TypeError is
+/// re-thrown as SpecError with the field path.
+[[nodiscard]] std::uint64_t get_u64(const json::Value& v,
+                                    const std::string& path);
+/// get_u64, rejecting a value outside [lo, hi].
+[[nodiscard]] std::uint64_t get_u64_range(const json::Value& v,
+                                          const std::string& path,
+                                          std::uint64_t lo, std::uint64_t hi);
+/// "0x…" lower-case hex: how uint64 fields (seeds) serialize.
+[[nodiscard]] std::string hex_string(std::uint64_t v);
 
 /// Parse a full sweep spec from its JSON document. Strict (see above);
 /// fields left out of the document keep SweepSpec's defaults.

@@ -1,43 +1,12 @@
 #include "verify/campaign_json.hpp"
 
-#include <cstdio>
-
 namespace htnoc::verify {
 
-namespace {
-
 using json::Value;
-using sweep::SpecError;
-
-[[noreturn]] void bad(const std::string& path, const std::string& msg) {
-  throw SpecError(path + ": " + msg);
-}
-
-std::uint64_t get_u64(const Value& v, const std::string& path) {
-  try {
-    return json::as_uint64(v);
-  } catch (const json::TypeError& e) {
-    bad(path, e.what());
-  }
-}
-
-std::uint64_t get_u64_range(const Value& v, const std::string& path,
-                            std::uint64_t lo, std::uint64_t hi) {
-  const std::uint64_t x = get_u64(v, path);
-  if (x < lo || x > hi) {
-    bad(path, "value " + std::to_string(x) + " out of range [" +
-                  std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return x;
-}
-
-std::string hex_string(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
+using sweep::bad;
+using sweep::get_u64;
+using sweep::get_u64_range;
+using sweep::hex_string;
 
 CampaignSpec campaign_spec_from_json(const json::Value& doc) {
   const json::Object* root = nullptr;

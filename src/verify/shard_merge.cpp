@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <utility>
+
+#include "sweep/spec_json.hpp"
 
 namespace htnoc::verify {
 
@@ -20,12 +21,6 @@ std::string second_line(const std::string& s) {
   const auto nl = s.find('\n');
   if (nl == std::string::npos) return {};
   return first_line(s.substr(nl + 1));
-}
-
-std::string hex_string(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-  return buf;
 }
 
 [[noreturn]] void bad(const std::string& msg) { throw MergeError(msg); }
@@ -101,7 +96,7 @@ CampaignSummary summarize_shard(const CampaignResult& result) {
 
 json::Value shard_summary_to_json(const CampaignSummary& s) {
   json::Object o;
-  o.emplace_back("seed", json::Value(hex_string(s.seed)));
+  o.emplace_back("seed", json::Value(sweep::hex_string(s.seed)));
   o.emplace_back("scenarios", json::Value(static_cast<double>(s.scenarios)));
   o.emplace_back("shard_index",
                  json::Value(static_cast<double>(s.shard_index)));

@@ -105,7 +105,9 @@ TEST_F(WestFirstTest, NetworkDeliversUnderWestFirst) {
     gen.step();
     net.step();
     ++c;
-    if (c % 50 == 0) ASSERT_EQ(net.check_invariants(), "");
+    if (c % 50 == 0) {
+      ASSERT_EQ(net.check_invariants(), "");
+    }
   }
   EXPECT_TRUE(gen.done());
 }

@@ -129,7 +129,9 @@ TEST(Invariants, HoldUnderTdm) {
     g2.step();
     net.step();
     ++c;
-    if (c % 5 == 0) ASSERT_EQ(net.check_invariants(), "") << "cycle " << c;
+    if (c % 5 == 0) {
+      ASSERT_EQ(net.check_invariants(), "") << "cycle " << c;
+    }
   }
   EXPECT_TRUE(g1.done());
   EXPECT_TRUE(g2.done());
@@ -151,7 +153,9 @@ TEST(Invariants, HoldWithPerVcRetransmissionScheme) {
     gen.step();
     net.step();
     ++c;
-    if (c % 5 == 0) ASSERT_EQ(net.check_invariants(), "") << "cycle " << c;
+    if (c % 5 == 0) {
+      ASSERT_EQ(net.check_invariants(), "") << "cycle " << c;
+    }
   }
   EXPECT_TRUE(gen.done());
 }

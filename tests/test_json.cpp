@@ -64,7 +64,7 @@ TEST(Json, RejectsMalformedDocuments) {
 
 TEST(Json, ErrorsCarryLineAndColumn) {
   try {
-    parse("{\n  \"a\": 1,\n  \"a\": 2\n}");
+    (void)parse("{\n  \"a\": 1,\n  \"a\": 2\n}");
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 3);
@@ -113,20 +113,20 @@ TEST(Json, AsUint64AcceptsNumbersAndStrings) {
   // Full 64-bit range only via strings (doubles stop being exact at 2^53).
   EXPECT_EQ(as_uint64(parse("\"0xffffffffffffffff\"")),
             std::numeric_limits<std::uint64_t>::max());
-  EXPECT_THROW(as_uint64(parse("-1")), TypeError);
-  EXPECT_THROW(as_uint64(parse("1.5")), TypeError);
-  EXPECT_THROW(as_uint64(parse("9007199254740993")), TypeError);
-  EXPECT_THROW(as_uint64(parse("\"nope\"")), TypeError);
-  EXPECT_THROW(as_uint64(parse("true")), TypeError);
+  EXPECT_THROW((void)as_uint64(parse("-1")), TypeError);
+  EXPECT_THROW((void)as_uint64(parse("1.5")), TypeError);
+  EXPECT_THROW((void)as_uint64(parse("9007199254740993")), TypeError);
+  EXPECT_THROW((void)as_uint64(parse("\"nope\"")), TypeError);
+  EXPECT_THROW((void)as_uint64(parse("true")), TypeError);
 }
 
 TEST(Json, TypeErrorsOnWrongAccess) {
   const Value v = parse("[1]");
-  EXPECT_THROW(v.as_object(), TypeError);
-  EXPECT_THROW(v.as_string(), TypeError);
-  EXPECT_THROW(v.as_number(), TypeError);
-  EXPECT_THROW(v.as_bool(), TypeError);
-  EXPECT_NO_THROW(v.as_array());
+  EXPECT_THROW((void)v.as_object(), TypeError);
+  EXPECT_THROW((void)v.as_string(), TypeError);
+  EXPECT_THROW((void)v.as_number(), TypeError);
+  EXPECT_THROW((void)v.as_bool(), TypeError);
+  EXPECT_NO_THROW((void)v.as_array());
 }
 
 TEST(Json, SetAppendsMembersInOrder) {

@@ -31,7 +31,7 @@ class OutputUnitTest : public ::testing::Test {
  protected:
   NocConfig cfg;
   Link link{"l", 1};
-  OutputUnit out{cfg, "out"};
+  OutputUnit out{cfg};
 
   void SetUp() override { out.connect(&link); }
 
@@ -174,7 +174,7 @@ TEST_F(OutputUnitTest, TdmHoldsFlitsOutsideTheirSlot) {
   NocConfig tdm_cfg;
   tdm_cfg.tdm_enabled = true;
   Link l2("l2", 1);
-  OutputUnit o2(tdm_cfg, "o2");
+  OutputUnit o2(tdm_cfg);
   o2.connect(&l2);
   o2.allocate_vc(0);
   Flit f = make_flit(1, 0, 1, 0);

@@ -56,7 +56,7 @@ class AlwaysReorder final : public LObController {
 TEST(Reorder, LaterFlitOvertakesHeldFlit) {
   NocConfig cfg;
   Link link("l", 1);
-  OutputUnit out(cfg, "out");
+  OutputUnit out(cfg);
   out.connect(&link);
   AlwaysReorder lob;
   out.set_lob(&lob);

@@ -34,7 +34,7 @@ TEST(RetransScheme, PerVcCapacityIsPerVc) {
   cfg.retrans_scheme = RetransmissionScheme::kPerVcBuffer;
   cfg.retrans_per_vc_depth = 2;
   Link link("l", 1);
-  OutputUnit out(cfg, "out");
+  OutputUnit out(cfg);
   out.connect(&link);
   EXPECT_EQ(out.capacity(), 2 * cfg.vcs_per_port);
 
@@ -52,7 +52,7 @@ TEST(RetransScheme, PerVcCapacityIsPerVc) {
 TEST(RetransScheme, OutputPoolSharedAcrossVcs) {
   NocConfig cfg;  // default kOutputBuffer, depth 4
   Link link("l", 1);
-  OutputUnit out(cfg, "out");
+  OutputUnit out(cfg);
   out.connect(&link);
   out.allocate_vc(0);
   for (int i = 0; i < 4; ++i) out.accept(i, make_flit(1, i, 8, 0), i + 2);
@@ -67,7 +67,7 @@ TEST(RetransScheme, AcceptBeyondPerVcQuotaIsContractViolation) {
   cfg.retrans_scheme = RetransmissionScheme::kPerVcBuffer;
   cfg.retrans_per_vc_depth = 1;
   Link link("l", 1);
-  OutputUnit out(cfg, "out");
+  OutputUnit out(cfg);
   out.connect(&link);
   out.allocate_vc(2);
   out.accept(0, make_flit(1, 0, 8, 2), 2);
@@ -132,7 +132,7 @@ TEST(RetransScheme, PerVcKeepsReplySlotsFreeAtAttackedPort) {
     cfg.retrans_scheme = scheme;
     Link link("l", 1);
     link.set_disabled(true);  // nothing ever leaves: emulate a full wedge
-    OutputUnit out(cfg, "out");
+    OutputUnit out(cfg);
     out.connect(&link);
     out.allocate_vc(0);
     out.allocate_vc(1);

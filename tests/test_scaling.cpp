@@ -39,7 +39,9 @@ TEST(Scaling, EightByEightDeliversUniformTraffic) {
     gen.step();
     net.step();
     ++c;
-    if (c % 100 == 0) ASSERT_EQ(net.check_invariants(), "");
+    if (c % 100 == 0) {
+      ASSERT_EQ(net.check_invariants(), "");
+    }
   }
   EXPECT_TRUE(gen.done());
 }

@@ -140,8 +140,8 @@ TEST(Simulator, LObModeInstallsControllersOnMeshPorts) {
   Simulator sim(std::move(sc));
   EXPECT_TRUE(sim.has_lob());
   // Corner router 0 has E and S mesh ports only.
-  EXPECT_NO_THROW(sim.lob(0, direction_port(Direction::kEast)));
-  EXPECT_NO_THROW(sim.lob(5, direction_port(Direction::kNorth)));
+  EXPECT_NO_THROW((void)sim.lob(0, direction_port(Direction::kEast)));
+  EXPECT_NO_THROW((void)sim.lob(5, direction_port(Direction::kNorth)));
 }
 
 }  // namespace

@@ -40,7 +40,9 @@ class UpDownTest : public ::testing::Test {
       const Direction dir = port_direction(d.out_port);
       EXPECT_TRUE(ud.link_enabled(here, dir)) << "routed over dead link";
       const bool up_hop = ud.is_up(here, dir);
-      if (down) EXPECT_FALSE(up_hop) << "down->up violation at " << here;
+      if (down) {
+        EXPECT_FALSE(up_hop) << "down->up violation at " << here;
+      }
       down = d.next_phase_down;
       here = geom.neighbor(here, dir);
       ++hops;
@@ -76,7 +78,9 @@ TEST_F(UpDownTest, SingleLinkFailureRoutesAround) {
   const UpDownRouting ud(geom, dead);
   for (RouterId s = 0; s < 16; ++s) {
     for (RouterId d = 0; d < 16; ++d) {
-      if (s != d) EXPECT_GE(walk(ud, s, d), 0);
+      if (s != d) {
+        EXPECT_GE(walk(ud, s, d), 0);
+      }
     }
   }
   // Routes through the dead link are forbidden.
@@ -91,7 +95,9 @@ TEST_F(UpDownTest, HalfDeadEdgeTreatedAsFullyDead) {
   EXPECT_FALSE(ud.link_enabled(0, Direction::kSouth));  // symmetric kill
   for (RouterId s = 0; s < 16; ++s) {
     for (RouterId d = 0; d < 16; ++d) {
-      if (s != d) EXPECT_GE(walk(ud, s, d), 0);
+      if (s != d) {
+        EXPECT_GE(walk(ud, s, d), 0);
+      }
     }
   }
 }
@@ -112,7 +118,9 @@ TEST_F(UpDownTest, MultipleFailuresStillConnected) {
       const UpDownRouting ud(geom, dead);
       for (RouterId s = 0; s < 16; ++s) {
         for (RouterId t = 0; t < 16; ++t) {
-          if (s != t) ASSERT_GE(walk(ud, s, t), 0) << "trial " << trial;
+          if (s != t) {
+            ASSERT_GE(walk(ud, s, t), 0) << "trial " << trial;
+          }
         }
       }
     } catch (const ContractViolation&) {
