@@ -122,21 +122,4 @@ class FlitAuditObserver {
                                const std::vector<std::uint64_t>& uids) = 0;
 };
 
-/// No-op detector: plain retransmission forever (the paper's "no
-/// mitigation" configuration, Fig. 11a).
-class NullThreatDetector final : public ThreatDetector {
- public:
-  NackAdvice on_uncorrectable(const FaultObservation&) override { return {}; }
-  void on_corrected(const FaultObservation&) override {}
-  void on_clean(const FaultObservation&) override {}
-};
-
-/// No-op L-Ob: never obfuscates.
-class NullLObController final : public LObController {
- public:
-  ObfuscationTag plan(Cycle, const Flit&, int, bool, bool) override { return {}; }
-  void on_ack(Cycle, const Flit&, const ObfuscationTag&) override {}
-  void on_nack(Cycle, const Flit&, const ObfuscationTag&) override {}
-};
-
 }  // namespace htnoc

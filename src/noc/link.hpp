@@ -245,10 +245,6 @@ class Link {
     trace_node_ = node;
     trace_port_ = port;
   }
-  [[nodiscard]] std::uint16_t trace_node() const noexcept {
-    return trace_node_;
-  }
-  [[nodiscard]] std::int8_t trace_port() const noexcept { return trace_port_; }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }

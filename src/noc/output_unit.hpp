@@ -123,7 +123,6 @@ class OutputUnit {
                : cfg_.retrans_depth;
   }
   [[nodiscard]] int occupancy() const { return static_cast<int>(meta_.size()); }
-  [[nodiscard]] int capacity() const { return total_capacity(); }
 
   /// Accept a flit from the crossbar (ST). Consumes one downstream credit
   /// for the flit's VC; tail flits release the output VC allocation.

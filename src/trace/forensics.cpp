@@ -244,6 +244,14 @@ void print_timeline(std::ostream& os, const TraceLog& log,
      << " flits)\n\n";
 
   os << "--- escalation ladder ---\n";
+  // A full ring overwrote its oldest events, so the run's true firsts may
+  // be gone; say which window the "first ..." milestones are firsts of.
+  if (log.dropped() > 0 && !log.events.empty()) {
+    os << "(the ring dropped the oldest " << log.dropped()
+       << " events: each \"first ...\" milestone is the first inside the "
+          "kept window, which starts at cycle "
+       << log.events.front().cycle << ")\n";
+  }
   if (r.ladder.empty()) os << "(no milestones in window)\n";
   for (const auto& m : r.ladder) {
     os << "cycle " << m.cycle;

@@ -36,7 +36,7 @@ TEST(RetransScheme, PerVcCapacityIsPerVc) {
   Link link("l", 1);
   OutputUnit out(cfg);
   out.connect(&link);
-  EXPECT_EQ(out.capacity(), 2 * cfg.vcs_per_port);
+  EXPECT_EQ(out.total_capacity(), 2 * cfg.vcs_per_port);
 
   out.allocate_vc(0);
   out.accept(0, make_flit(1, 0, 8, 0), 2);
