@@ -87,10 +87,9 @@ double sighting_probability(trojan::TargetKind kind, Cycle deadline) {
   const auto links = net.all_links();
   int sighted = 0;
   // One network with a dormant-then-enabled trojan per link would have the
-  // trojans interfere (they all inject); instead attach pure snoop-style
-  // TASPs with an impossible-to-satisfy... simpler: run one simulation per
-  // link with a single trojan and count sightings. Deterministic traffic
-  // makes this an exact coverage measure rather than an estimate.
+  // trojans interfere (they all inject), so run one simulation per link
+  // with a single trojan and count sightings. Deterministic traffic makes
+  // this an exact coverage measure rather than an estimate.
   for (const LinkRef& l : links) {
     sim::SimConfig sc;
     sim::AttackSpec a;

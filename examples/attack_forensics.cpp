@@ -30,13 +30,6 @@ int main(int argc, char** argv) {
   using namespace htnoc;
   const std::string out_dir = argc > 1 ? argv[1] : ".";
 
-  if (!trace::kCompiledIn) {
-    std::fprintf(stderr,
-                 "attack_forensics: built with HTNOC_TRACE=0, nothing to "
-                 "capture\n");
-    return 0;
-  }
-
   // Fig. 11 setup: one dest-0 TASP on the column-0 feeder link, no
   // mitigation, kill switch thrown after a 1500-cycle warm-up.
   sim::SimConfig sc;

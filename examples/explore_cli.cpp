@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "count_flag.hpp"
+#include "noc/wire.hpp"
 #include "sim/simulator.hpp"
 #include "stats/stats.hpp"
 #include "traffic/generator.hpp"
@@ -51,8 +52,9 @@ void usage() {
       "output)\n"
       "  --attack R:D      implant a TASP on router R's link in direction "
       "D (N|S|E|W); repeatable\n"
-      "  --target K=V      dest|src|dest_src|vc|mem|full =value (default "
-      "dest=0); a value no flit on the fabric can carry is refused\n"
+      "  --target K=V      dest|src|dest_src|vc|mem|thread|full =value "
+      "(default dest=0); a value no flit on the fabric can carry is "
+      "refused\n"
       "  --killsw CYC      enable the kill switch at cycle CYC (default "
       "1000)\n"
       "  --cycles N        simulate N cycles (default 4000)\n"
@@ -73,23 +75,6 @@ Direction parse_dir(char c) {
   }
 }
 
-trojan::TargetKind parse_kind(const std::string& k) {
-  if (k == "dest") return trojan::TargetKind::kDest;
-  if (k == "src") return trojan::TargetKind::kSrc;
-  if (k == "vc") return trojan::TargetKind::kVc;
-  if (k == "mem") return trojan::TargetKind::kMem;
-  if (k == "full") return trojan::TargetKind::kFull;
-  if (k == "dest_src") return trojan::TargetKind::kDestSrc;
-  throw ContractViolation("bad target kind " + k);
-}
-
-sim::MitigationMode parse_mode(const std::string& m) {
-  if (m == "none") return sim::MitigationMode::kNone;
-  if (m == "lob") return sim::MitigationMode::kLOb;
-  if (m == "reroute") return sim::MitigationMode::kReroute;
-  throw ContractViolation("bad mode " + m);
-}
-
 bool parse_west_first(const std::string& r) {
   if (r == "xy") return false;
   if (r == "west_first") return true;
@@ -108,7 +93,7 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& arg) {
     if (arg == "--app") {
       opt.profile = traffic::profile_by_name(next());
     } else if (arg == "--mode") {
-      opt.mode = parse_mode(next());
+      opt.mode = sim::mitigation_mode_from_string(next());
     } else if (arg == "--routing") {
       opt.west_first = parse_west_first(next());
     } else if (arg == "--scheme") {
@@ -129,7 +114,7 @@ bool parse_args(int argc, char** argv, Options& opt, std::string& arg) {
       if (eq == std::string::npos) {
         throw ContractViolation("--target expects K=V, got " + v);
       }
-      opt.target_kind = parse_kind(v.substr(0, eq));
+      opt.target_kind = trojan::target_kind_from_string(v.substr(0, eq));
       opt.target_value = cli::parse_count(v.substr(eq + 1), 0);
     } else if (arg == "--killsw") {
       opt.killsw_at = cli::parse_count(next());
@@ -162,6 +147,7 @@ void check_target(trojan::TargetKind kind, std::uint64_t value,
                             kind == TargetKind::kFull;
   const bool vc_field = kind == TargetKind::kVc || kind == TargetKind::kFull;
   const bool mem_field = kind == TargetKind::kMem || kind == TargetKind::kFull;
+  const bool thread_field = kind == TargetKind::kThread;
   const std::string what =
       "--target " + trojan::to_string(kind) + "=" + std::to_string(value);
   if (router_field &&
@@ -175,6 +161,10 @@ void check_target(trojan::TargetKind kind, std::uint64_t value,
   }
   if (mem_field && value > std::numeric_limits<std::uint32_t>::max()) {
     throw ContractViolation(what + ": memory addresses are 32 bits");
+  }
+  if (thread_field && value >= (std::uint64_t{1} << wire::kThreadWidth)) {
+    throw ContractViolation(what + ": thread ids are " +
+                            std::to_string(wire::kThreadWidth) + " bits");
   }
 }
 
@@ -201,6 +191,7 @@ sim::SimConfig make_config(const Options& opt) {
     a.tasp.target_src = static_cast<RouterId>(opt.target_value);
     a.tasp.target_vc = static_cast<VcId>(opt.target_value);
     a.tasp.target_mem = static_cast<std::uint32_t>(opt.target_value);
+    a.tasp.target_thread = static_cast<std::uint8_t>(opt.target_value);
     a.enable_killsw_at = opt.killsw_at;
     sc.attacks.push_back(a);
   }

@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--modes") {
         spec.modes.clear();
         for (const auto& m : split_csv(value())) {
-          spec.modes.push_back(sweep::mitigation_mode_from_string(m));
+          spec.modes.push_back(sim::mitigation_mode_from_string(m));
         }
       } else if (arg == "--attacks") {
         spec.attack_scenarios.clear();
@@ -227,10 +227,6 @@ int main(int argc, char** argv) {
       });
     }
     if (!trace_dir.empty()) {
-      if (!trace::kCompiledIn) {
-        std::fprintf(stderr,
-                     "[sweep] --trace ignored: built with HTNOC_TRACE=0\n");
-      }
       std::filesystem::create_directories(trace_dir);
       std::size_t traces = 0;
       for (const auto& r : result.runs) {

@@ -20,19 +20,24 @@ each workload and each end-to-end metric BENCHMARK.json names, it holds
 each side's values, median and quartiles (statistics.quantiles, n=4), the
 pairs the change won, the relative change of the medians and a verdict
 against the metric's bound (see verdict()); beside them the seeds, the run
-seconds, nproc, both commit ids, and whether every run ended in its side's
+seconds, nproc, both commit ids, each run's wall and CPU seconds in run
+order (run_wall_s, run_cpu_s), and whether every run ended in its side's
 first end state for its seed (counts line and end-state hash) and in the
-parent's end state.
+parent's end state. A run's CPU seconds are the user plus system time of
+the processes it waited for (perfbench and its build check), so CPU over
+wall says how much of a core the run got.
 
 Once the record is written, standard output gets one line per workload and
 metric: the verdict, both medians, the relative change and the pairs the
-change won. The exit status is 1 when any verdict is "worse", else 0; an
+change won; then one line per workload with each side's median and lowest
+CPU/wall ratio. The exit status is 1 when any verdict is "worse", else 0; an
 "unresolved" verdict passes. This is CI's performance gate (the perf-pairs
 job in .github/workflows/ci.yml).
 """
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -125,6 +130,26 @@ def verdict_lines(record):
     return lines
 
 
+def cpu_lines(record):
+    """One line per workload: each side's median and lowest CPU/wall ratio."""
+    lines = []
+    for workload, w in record["workloads"].items():
+        sides = []
+        for side in SIDES:
+            ratios = [cpu / wall for cpu, wall in
+                      zip(w["run_cpu_s"][side], w["run_wall_s"][side])]
+            sides.append(f"{side} median {statistics.median(ratios):.2f} "
+                         f"lowest {min(ratios):.2f}")
+        lines.append(f"cpu/wall: {workload} " + ", ".join(sides))
+    return lines
+
+
+def children_cpu_s():
+    """User plus system seconds of every child this process has waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def end_state_summary(runs):
     """`runs`: per side, a list of (seed, end_state) in run order.
 
@@ -156,12 +181,12 @@ def parse_output(stdout):
 
 def run_side(tree, build_dir, workload, seed, seconds):
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
-    start = time.monotonic()
+    start, cpu_start = time.monotonic(), children_cpu_s()
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
-    wall = time.monotonic() - start
+    wall, cpu = time.monotonic() - start, children_cpu_s() - cpu_start
     if proc.returncode != 0:
         raise SystemExit(f"bench_pairs: {tree}: {workload} seed {seed} exited "
                          f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -169,7 +194,7 @@ def run_side(tree, build_dir, workload, seed, seconds):
     if not result.get("correct", False):
         raise SystemExit(f"bench_pairs: {tree}: {workload} seed {seed} failed "
                          f"its end-state check")
-    return meta, end_state, result, wall
+    return meta, end_state, result, wall, cpu
 
 
 def benchmark_spec(tree):
@@ -181,6 +206,7 @@ def benchmark_spec(tree):
 def bench_workload(trees, builds, workload, pairs, seconds, seed0, metrics):
     values = {side: {m["name"]: [] for m in metrics} for side in SIDES}
     walls = {side: [] for side in SIDES}
+    cpus = {side: [] for side in SIDES}
     ends = {side: [] for side in SIDES}
     commits = {}
     seeds = []
@@ -188,10 +214,11 @@ def bench_workload(trees, builds, workload, pairs, seconds, seed0, metrics):
         seed = seed0 + pair
         seeds.append(seed)
         for side in run_order(pair):
-            meta, end_state, result, wall = run_side(
+            meta, end_state, result, wall, cpu = run_side(
                 trees[side], builds[side], workload, seed, seconds)
             commits[side] = meta.get("meta", {}).get("commit")
             walls[side].append(wall)
+            cpus[side].append(cpu)
             ends[side].append((seed, end_state))
             for m in metrics:
                 values[side][m["name"]].append(
@@ -205,6 +232,7 @@ def bench_workload(trees, builds, workload, pairs, seconds, seed0, metrics):
         "first": [first_side(p) for p in range(pairs)],
         "seconds": seconds,
         "run_wall_s": walls,
+        "run_cpu_s": cpus,
         "end_state": end_state_summary(ends),
         "metrics": {m["name"]: {"unit": m.get("unit"),
                                 **metric_summary(values["base"][m["name"]],
@@ -250,7 +278,7 @@ def main():
             json.dump(record, f, indent=2)
             f.write("\n")
     print(f"bench_pairs: wrote {out}", file=sys.stderr)
-    for line in verdict_lines(record):
+    for line in verdict_lines(record) + cpu_lines(record):
         print(line)
     worse = any(m["verdict"] == "worse" for w in record["workloads"].values()
                 for m in w["metrics"].values())

@@ -200,14 +200,27 @@ class Workload(unittest.TestCase):
             with self.assertRaises(SystemExit):
                 bench_pairs.run_side("/b", "/ob", "w", 1, 25)
 
+    def test_cpu_seconds_are_those_of_the_waited_for_children(self):
+        with mock.patch.object(bench_pairs.subprocess, "run",
+                               return_value=mock.Mock(
+                                   returncode=0, stdout=fake_output(100, "s"),
+                                   stderr="")), \
+                mock.patch.object(bench_pairs, "children_cpu_s",
+                                  side_effect=[10.0, 12.5]):
+            *_, cpu = bench_pairs.run_side("/b", "/ob", "w", 1, 25)
+        self.assertEqual(cpu, 2.5)
+
 
 class Gate(unittest.TestCase):
     """main() writes the record, prints one verdict line per workload and
-    metric, and exits 1 when any verdict is "worse"."""
+    metric and one CPU/wall line per workload, and exits 1 when any verdict
+    is "worse"."""
 
     def run_main(self, cycles):
         """`cycles[side][workload]`: cycles_per_s of pair 0, 1, ...; every
-        run's setup_s is 2.0. Returns (status, record, stdout lines)."""
+        run's setup_s is 2.0 and its wall time 10 s, and the run on seed i
+        takes i + 1 CPU seconds on the base, twice that on the head.
+        Returns (status, record, stdout lines)."""
         pairs = len(next(iter(cycles["base"].values())))
         spec = {"run_seconds": 3,
                 "workloads": [{"name": w} for w in cycles["base"]],
@@ -226,7 +239,8 @@ class Gate(unittest.TestCase):
                 result = {"correct": True, "metrics": {
                     "cycles_per_s": {"value": cycles[side][workload][seed]},
                     "setup_s": {"value": 2.0}}}
-                return {"meta": {"commit": side}}, "end", result, 0.0
+                cpu = (seed + 1) * (1.0 if side == "base" else 2.0)
+                return {"meta": {"commit": side}}, "end", result, 10.0, cpu
 
             out = os.path.join(tmp, "perf_pairs.json")
             argv = ["bench_pairs.py", "--base", trees["base"], "--head",
@@ -272,7 +286,21 @@ class Gate(unittest.TestCase):
             "not_worse: a cycles_per_s 58,650 -> 62,350 (+6.3%), change won 3/3 pairs",
             "not_worse: a setup_s 2 -> 2 (+0.0%), change won 0/3 pairs",
             "not_worse: b cycles_per_s 100 -> 100 (+0.0%), change won 0/3 pairs",
-            "not_worse: b setup_s 2 -> 2 (+0.0%), change won 0/3 pairs"])
+            "not_worse: b setup_s 2 -> 2 (+0.0%), change won 0/3 pairs",
+            "cpu/wall: a base median 0.20 lowest 0.10, head median 0.40 lowest 0.20",
+            "cpu/wall: b base median 0.20 lowest 0.10, head median 0.40 lowest 0.20"])
+
+    def test_cpu_seconds_are_recorded_per_side_in_run_order(self):
+        _, record, lines = self.run_main(
+            {"base": {"a": [100] * 4}, "head": {"a": [100] * 4}})
+        w = record["workloads"]["a"]
+        self.assertEqual(w["run_cpu_s"], {"base": [1.0, 2.0, 3.0, 4.0],
+                                          "head": [2.0, 4.0, 6.0, 8.0]})
+        self.assertEqual(w["run_wall_s"], {"base": [10.0] * 4, "head": [10.0] * 4})
+        # The CPU/wall lines follow the verdict lines.
+        self.assertEqual(lines[-1], "cpu/wall: a base median 0.25 lowest 0.10, "
+                                    "head median 0.50 lowest 0.20")
+        self.assertTrue(all(l.startswith("not_worse:") for l in lines[:-1]))
 
 
 if __name__ == "__main__":

@@ -15,8 +15,6 @@ void NocConfig::validate() const {
   HTNOC_EXPECT(buffer_depth >= 1 && buffer_depth <= 64);
   HTNOC_EXPECT(retrans_depth >= 1 && retrans_depth <= 64);
   HTNOC_EXPECT(retrans_per_vc_depth >= 1 && retrans_per_vc_depth <= 64);
-  HTNOC_EXPECT(stage_bw_rc >= 1 && stage_va >= 1 && stage_sa >= 1 &&
-               stage_st >= 1 && stage_lt >= 1);
   HTNOC_EXPECT(injection_queue_depth >= 1);
   HTNOC_EXPECT(step_threads >= 1 && step_threads <= 256);
   // TDM needs an even VC split between the two domains.

@@ -37,8 +37,8 @@ enum class EccScheme : std::uint8_t {
 
 /// Parameters of the simulated NoC. Defaults reproduce the paper's setup:
 /// 64-core, 16-router 4x4 mesh, concentration 4, 4 VCs/port, 4x64-bit
-/// buffer slots per VC, 5-stage pipeline, x-y routing, round-robin
-/// arbitration, 2 GHz.
+/// buffer slots per VC, 5-stage pipeline at one cycle per stage (fixed, see
+/// Router), x-y routing, round-robin arbitration, 2 GHz.
 struct NocConfig {
   /// Fabric kind; defaults to the paper's concentrated mesh.
   TopologyKind topology = TopologyKind::kConcentratedMesh;
@@ -60,13 +60,6 @@ struct NocConfig {
 
   /// Link error-control code (paper platform: SECDED).
   EccScheme ecc_scheme = EccScheme::kSecded;
-
-  /// Pipeline latencies in cycles for BW/RC, VA, SA, ST, LT (5-stage).
-  int stage_bw_rc = 1;
-  int stage_va = 1;
-  int stage_sa = 1;
-  int stage_st = 1;
-  int stage_lt = 1;
 
   int injection_queue_depth = 8;  ///< NI source-queue slots per core.
 
@@ -93,9 +86,6 @@ struct NocConfig {
   }
   [[nodiscard]] int ports_per_router() const noexcept {
     return 4 + concentration;  // N,S,E,W + local ports
-  }
-  [[nodiscard]] int pipeline_depth() const noexcept {
-    return stage_bw_rc + stage_va + stage_sa + stage_st + stage_lt;
   }
 
   /// Throws ContractViolation when any parameter is out of range, or when

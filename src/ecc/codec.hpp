@@ -16,10 +16,9 @@
 //
 // `CodecDispatch` is the one entry point: an enum tag resolved once at
 // construction (input and output ports bind it to their NocConfig's
-// scheme, each decoding and encoding its own phits; on-link
-// inspectors such as the trojan's comparator and the snooper to the
-// scheme they were designed against); encode/decode inline with no
-// virtual call per phit.
+// scheme, each decoding and encoding its own phits; the trojan's on-link
+// comparator to the scheme it was designed against); encode/decode inline
+// with no virtual call per phit.
 #pragma once
 
 #include "common/config.hpp"

@@ -1,8 +1,9 @@
 // End-to-end obfuscation baseline in the spirit of Fort-NoCs (Ancajas et
 // al., DAC'14), which the paper compares against in Fig. 11(a).
 //
-// The source NI scrambles the packet's *data* — the memory address and
-// payload words — with a per-(src,dest) key; the destination NI unscrambles.
+// The source NI scrambles the packet's *data* — here the memory address, the
+// data field a trojan's comparator taps — with a per-(src,dest) key; the
+// destination NI unscrambles.
 // Crucially, the routing fields (src, dest, VC) CANNOT be scrambled hop-
 // invariantly because every router needs them to route, which is exactly
 // why e2e obfuscation fails against an in-network DPI trojan keyed on the
@@ -10,11 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "common/bits.hpp"
 #include "common/types.hpp"
-#include "noc/wire.hpp"
 
 namespace htnoc::mitigation {
 
@@ -36,21 +34,6 @@ class E2eObfuscator {
   [[nodiscard]] std::uint32_t scramble_mem(NodeId src, NodeId dest,
                                            std::uint32_t mem) const noexcept {
     return mem ^ static_cast<std::uint32_t>(key(src, dest) & 0xFFFFFFFFu);
-  }
-
-  /// Scramble payload words (body-flit wire images, type bits preserved).
-  [[nodiscard]] std::vector<std::uint64_t> scramble_payload(
-      NodeId src, NodeId dest, std::vector<std::uint64_t> words) const {
-    const std::uint64_t k =
-        key(src, dest) & ~(((std::uint64_t{1} << wire::kTypeWidth) - 1)
-                           << wire::kTypePos);
-    for (auto& w : words) w ^= k;
-    return words;
-  }
-
-  [[nodiscard]] std::vector<std::uint64_t> unscramble_payload(
-      NodeId src, NodeId dest, std::vector<std::uint64_t> words) const {
-    return scramble_payload(src, dest, std::move(words));  // XOR involution
   }
 
  private:

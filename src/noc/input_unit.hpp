@@ -155,13 +155,12 @@ class InputUnit {
   [[nodiscard]] int occupancy() const noexcept { return occupancy_; }
 
   /// True when the front stream of `vc` has its in-order flit ready for SA
-  /// (buffer-write stage complete) this cycle.
+  /// (its one-cycle buffer-write stage complete) this cycle.
   [[nodiscard]] bool front_flit_ready(Cycle now, int vc) const {
     const VcBuf& b = vcs_[static_cast<std::size_t>(vc)];
     if (b.streams.empty()) return false;
     const PacketStream& s = b.streams.front();
-    return s.next_flit_present() &&
-           arena_.arrival(s.head) + static_cast<Cycle>(cfg_.stage_bw_rc) <= now;
+    return s.next_flit_present() && arena_.arrival(s.head) + 1 <= now;
   }
 
   /// Pop the in-order next flit of the front stream of `vc` (ST stage).

@@ -62,7 +62,7 @@ Network::Network(const NocConfig& cfg)
   // sends on it.
   mesh_links_.resize(static_cast<std::size_t>(nr) * 4);
   for (const LinkRef& l : geom_.links()) {
-    auto lnk = std::make_unique<Link>(link_name(l.from, l.dir), cfg_.stage_lt);
+    auto lnk = std::make_unique<Link>(link_name(l.from, l.dir), 1);
     const RouterId to = geom_.neighbor(l.from, l.dir);
     const int out_port = direction_port(l.dir);
     const int in_port = direction_port(opposite(l.dir));

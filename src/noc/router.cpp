@@ -125,8 +125,7 @@ void Router::stage_rc(Cycle now) {
       stream.out_port = dec.out_port;
       stream.phase_down_next = dec.next_phase_down;
       stream.state = InputUnit::PacketStream::State::kWaitVA;
-      stream.va_eligible =
-          in->front_arrival(vc) + static_cast<Cycle>(cfg_.stage_bw_rc);
+      stream.va_eligible = in->front_arrival(vc) + 1;
       (void)now;
     }
   }
@@ -188,7 +187,7 @@ void Router::stage_va(Cycle now) {
       outputs_[static_cast<std::size_t>(out_port)]->allocate_vc(out_vc);
       stream.out_vc = out_vc;
       stream.state = InputUnit::PacketStream::State::kActive;
-      stream.sa_eligible = now + static_cast<Cycle>(cfg_.stage_va);
+      stream.sa_eligible = now + 1;
       ++stats_.va_grants;
     }
   }
@@ -250,9 +249,8 @@ void Router::stage_sa_st(Cycle now) {
     Flit f = in.pop_front_flit(now, ivc);  // may retire the stream (tail)
     f.vc = static_cast<VcId>(out_vc);
     f.route_phase_down = phase_down;
-    outputs_[static_cast<std::size_t>(op)]->accept(
-        now, std::move(f),
-        now + static_cast<Cycle>(cfg_.stage_sa + cfg_.stage_st));
+    // SA and ST take a cycle each before LT may send the flit.
+    outputs_[static_cast<std::size_t>(op)]->accept(now, std::move(f), now + 2);
     slot_outputs_ |= 1u << op;
     ++stats_.flits_switched;
   }

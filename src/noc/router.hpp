@@ -1,4 +1,5 @@
-// The 5-stage virtual-channel router (paper Sec. IV, Fig. 5):
+// The 5-stage virtual-channel router (paper Sec. IV, Fig. 5), one cycle per
+// stage:
 //   BW/RC  buffer write + route computation   (InputUnit::process_staged + stage_rc)
 //   VA     virtual-channel allocation          (stage_va, separable, round-robin)
 //   SA     switch allocation                   (stage_sa_st, separable, round-robin)

@@ -13,8 +13,16 @@ std::string to_string(MitigationMode m) {
   return "?";
 }
 
+MitigationMode mitigation_mode_from_string(const std::string& s) {
+  if (s == "none") return MitigationMode::kNone;
+  if (s == "lob") return MitigationMode::kLOb;
+  if (s == "reroute") return MitigationMode::kReroute;
+  throw ContractViolation("unknown mitigation mode: " + s +
+                          " (expected none/lob/reroute)");
+}
+
 Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg)) {
-  if (trace::kCompiledIn && cfg_.trace.enabled) {
+  if (cfg_.trace.enabled) {
     trace_sink_ = std::make_unique<trace::TraceSink>(cfg_.trace);
   }
   const trace::Tap tap(trace_sink_.get());

@@ -31,6 +31,8 @@ namespace htnoc::sim {
 enum class MitigationMode : std::uint8_t { kNone, kLOb, kReroute };
 
 std::string to_string(MitigationMode m);
+/// Inverse of to_string; throws ContractViolation on an unknown name.
+MitigationMode mitigation_mode_from_string(const std::string& s);
 
 /// One trojan implant: which link, tuned how, enabled when.
 struct AttackSpec {

@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -128,6 +129,36 @@ int SweepRunner::resolve_threads(int requested, std::size_t num_runs,
   return n;
 }
 
+SweepRunner::IndexLoop SweepRunner::for_each_index(
+    std::size_t count, int threads,
+    const std::function<void(std::size_t)>& body,
+    const std::function<bool()>& should_stop) {
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> stopped{false};
+  auto worker = [&]() {
+    for (;;) {
+      if (should_stop && should_stop()) {
+        stopped.store(true, std::memory_order_relaxed);
+        return;
+      }
+      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      body(i);
+    }
+  };
+  if (threads <= 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  }
+  // Each worker that found the loop done still bumped the cursor once.
+  return {std::min(cursor.load(std::memory_order_relaxed), count),
+          stopped.load(std::memory_order_relaxed)};
+}
+
 RunResult SweepRunner::run_single(const SweepSpec& spec, const RunSpec& rs) {
   RunResult res;
   res.spec = rs;
@@ -230,36 +261,19 @@ SweepResult SweepRunner::run(const SweepSpec& spec) const {
                                        spec.base.noc.step_threads);
   out.threads_used = nthreads;
 
-  // Index-addressed result slots + an atomic work cursor: no ordering or
-  // locking anywhere, and the output is independent of the schedule.
-  std::atomic<std::size_t> cursor{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= runs.size()) return;
-      try {
-        out.runs[i] = run_single(spec, runs[i]);
-      } catch (const std::exception& e) {
-        out.runs[i].spec = runs[i];
-        out.runs[i].ok = false;
-        out.runs[i].error = e.what();
-      } catch (...) {
-        out.runs[i].spec = runs[i];
-        out.runs[i].ok = false;
-        out.runs[i].error = "unknown exception";
-      }
+  for_each_index(runs.size(), nthreads, [&](std::size_t i) {
+    try {
+      out.runs[i] = run_single(spec, runs[i]);
+    } catch (const std::exception& e) {
+      out.runs[i].spec = runs[i];
+      out.runs[i].ok = false;
+      out.runs[i].error = e.what();
+    } catch (...) {
+      out.runs[i].spec = runs[i];
+      out.runs[i].ok = false;
+      out.runs[i].error = "unknown exception";
     }
-  };
-
-  if (nthreads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
+  });
   out.summary = aggregate(out.runs);
   return out;
 }

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -52,8 +53,8 @@ struct RunResult {
   std::vector<ThroughputSample> throughput_series;
 
   /// Captured event trace; non-null only when the run's trace config was
-  /// enabled (and tracing is compiled in). Shared so copying results stays
-  /// cheap; the log itself is immutable once the run finishes.
+  /// enabled. Shared so copying results stays cheap; the log itself is
+  /// immutable once the run finishes.
   std::shared_ptr<const trace::TraceLog> trace;
 
   /// Scalar metric values, parallel to metric_names().
@@ -124,6 +125,25 @@ class SweepRunner {
   [[nodiscard]] static int resolve_threads(int requested,
                                            std::size_t num_runs,
                                            int step_threads);
+
+  /// How far for_each_index got: indices [0, claimed) were claimed and each
+  /// ran to completion; `stopped` says the stop token ended the loop.
+  struct IndexLoop {
+    std::size_t claimed = 0;
+    bool stopped = false;
+  };
+
+  /// The one worker loop of sweeps and fault campaigns: `threads` workers
+  /// (the calling thread alone when 1) claim indices in [0, count) off one
+  /// atomic cursor and call `body` on each, which writes into its own
+  /// index-addressed slot, so the output is independent of the schedule.
+  /// `body` must not throw. `should_stop`, if set, is polled before each
+  /// claim and must be thread-safe: a claimed index always finishes, so the
+  /// claimed set stays a prefix.
+  static IndexLoop for_each_index(
+      std::size_t count, int threads,
+      const std::function<void(std::size_t)>& body,
+      const std::function<bool()>& should_stop = nullptr);
 
   /// Expand and execute the whole sweep. A run that throws is recorded in
   /// its slot (ok == false, error set); the remaining runs still execute.

@@ -111,18 +111,6 @@ std::string direction_to_json_string(Direction d) {
   }
 }
 
-trojan::TargetKind target_kind_from_string(const std::string& s,
-                                           const std::string& path) {
-  if (s == "full") return trojan::TargetKind::kFull;
-  if (s == "dest") return trojan::TargetKind::kDest;
-  if (s == "src") return trojan::TargetKind::kSrc;
-  if (s == "dest_src") return trojan::TargetKind::kDestSrc;
-  if (s == "mem") return trojan::TargetKind::kMem;
-  if (s == "vc") return trojan::TargetKind::kVc;
-  if (s == "thread") return trojan::TargetKind::kThread;
-  bad(path, "unknown target kind \"" + s + "\"");
-}
-
 trojan::PayloadPattern payload_pattern_from_string(const std::string& s,
                                                    const std::string& path) {
   if (s == "double_detectable") return trojan::PayloadPattern::kDoubleDetectable;
@@ -185,7 +173,12 @@ sim::AttackSpec implant_from_json(const Value& v, const std::string& path,
       for (const auto& [tk, tv] : get_object(val, p)) {
         const std::string tp = p + "." + tk;
         if (tk == "kind") {
-          a.tasp.kind = target_kind_from_string(get_string(tv, tp), tp);
+          const std::string& s = get_string(tv, tp);
+          try {
+            a.tasp.kind = trojan::target_kind_from_string(s);
+          } catch (const std::exception&) {
+            bad(tp, "unknown target kind \"" + s + "\"");
+          }
         } else if (tk == "src") {
           a.tasp.target_src =
               static_cast<RouterId>(get_int_range(tv, tp, 0, 4095));
@@ -323,14 +316,6 @@ Value noc_to_json(const NocConfig& noc) {
 
 }  // namespace
 
-sim::MitigationMode mitigation_mode_from_string(const std::string& s) {
-  if (s == "none") return sim::MitigationMode::kNone;
-  if (s == "lob") return sim::MitigationMode::kLOb;
-  if (s == "reroute") return sim::MitigationMode::kReroute;
-  throw SpecError("unknown mitigation mode \"" + s +
-                  "\" (expected none/lob/reroute)");
-}
-
 AttackScenario attack_scenario_preset(const std::string& name) {
   AttackScenario sc;
   sc.name = name;
@@ -426,8 +411,13 @@ SweepSpec sweep_spec_from_json(const json::Value& doc) {
     if (key == "modes") {
       spec.modes.clear();
       for (const Value& m : get_array(val, "modes")) {
-        spec.modes.push_back(
-            mitigation_mode_from_string(get_string(m, "modes[]")));
+        const std::string& s = get_string(m, "modes[]");
+        try {
+          spec.modes.push_back(sim::mitigation_mode_from_string(s));
+        } catch (const std::exception&) {
+          bad("modes[]", "unknown mitigation mode \"" + s +
+                             "\" (expected none/lob/reroute)");
+        }
       }
       if (spec.modes.empty()) bad("modes", "must be non-empty");
     } else if (key == "attacks") {

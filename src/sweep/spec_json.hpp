@@ -68,7 +68,4 @@ class SpecError : public std::runtime_error {
                                                        EccScheme ecc);
 [[nodiscard]] json::Value attack_scenario_to_json(const AttackScenario& sc);
 
-[[nodiscard]] sim::MitigationMode mitigation_mode_from_string(
-    const std::string& s);
-
 }  // namespace htnoc::sweep

@@ -1,8 +1,7 @@
 // TraceSink: a preallocated power-of-two ring buffer of Event records plus
 // the per-category enable mask, and Tap, the value-type handle components
-// hold. The hot-path contract: with HTNOC_TRACE compiled out, Tap::on() is
-// constant-false and every emit site folds away; compiled in but disabled,
-// it is one branch on a cached pointer + one mask test.
+// hold. The hot-path contract: with tracing off, Tap::on() is one branch on
+// a cached null pointer; on, it adds one category-mask test.
 #pragma once
 
 #include <cstddef>
@@ -16,15 +15,7 @@ namespace htnoc::verify {
 struct StateCodec;  // snapshot/restore (src/verify/snapshot.cpp)
 }
 
-// Compile-time kill switch: build with -DHTNOC_TRACE=0 to remove every
-// instrumentation branch from the binary.
-#ifndef HTNOC_TRACE
-#define HTNOC_TRACE 1
-#endif
-
 namespace htnoc::trace {
-
-inline constexpr bool kCompiledIn = HTNOC_TRACE != 0;
 
 struct TraceConfig {
   bool enabled = false;
@@ -157,21 +148,13 @@ class Tap {
   explicit constexpr Tap(TraceSink* sink) noexcept : sink_(sink) {}
 
   [[nodiscard]] bool on(Category c) const noexcept {
-    if constexpr (!kCompiledIn) {
-      return false;
-    } else {
-      return sink_ != nullptr && sink_->wants(c);
-    }
+    return sink_ != nullptr && sink_->wants(c);
   }
 
   /// Only call after on(category_of(e.type)) returned true.
   void emit(const Event& e) const noexcept {
-    if constexpr (kCompiledIn) {
-      HTNOC_EXPECT(sink_ != nullptr);
-      sink_->record(e);
-    } else {
-      (void)e;
-    }
+    HTNOC_EXPECT(sink_ != nullptr);
+    sink_->record(e);
   }
 
   [[nodiscard]] TraceSink* sink() const noexcept { return sink_; }

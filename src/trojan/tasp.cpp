@@ -17,6 +17,17 @@ std::string to_string(TargetKind k) {
   return "?";
 }
 
+TargetKind target_kind_from_string(const std::string& s) {
+  if (s == "full") return TargetKind::kFull;
+  if (s == "dest") return TargetKind::kDest;
+  if (s == "src") return TargetKind::kSrc;
+  if (s == "dest_src") return TargetKind::kDestSrc;
+  if (s == "mem") return TargetKind::kMem;
+  if (s == "vc") return TargetKind::kVc;
+  if (s == "thread") return TargetKind::kThread;
+  throw ContractViolation("unknown target kind: " + s);
+}
+
 unsigned target_width(TargetKind k) {
   switch (k) {
     case TargetKind::kFull: return 42;

@@ -44,6 +44,8 @@ enum class TargetKind : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(TargetKind k);
+/// Inverse of to_string; throws ContractViolation on an unknown name.
+[[nodiscard]] TargetKind target_kind_from_string(const std::string& s);
 /// Comparator bit-width of each variant (paper: src 4, dest 4, VC 2,
 /// dest_src 8, mem 32, full 42).
 [[nodiscard]] unsigned target_width(TargetKind k);

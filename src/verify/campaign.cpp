@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <sstream>
-#include <thread>
 
 #include "common/expect.hpp"
 #include "common/geometry.hpp"
@@ -478,44 +477,25 @@ CampaignResult FaultCampaign::run() const {
   const std::vector<std::uint8_t>* warmup_ptr =
       spec_.warmup_cycles > 0 ? &warmup : nullptr;
 
-  std::atomic<std::uint64_t> cursor{0};
   std::atomic<std::uint64_t> done{0};
-  std::atomic<bool> stopped{false};
-  auto worker = [&]() {
-    for (;;) {
-      // Stop token polled only between scenarios: a claimed scenario always
-      // finishes whole, and the claimed set stays the prefix [0, cursor).
-      if (spec_.should_stop && spec_.should_stop()) {
-        stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const std::uint64_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (k >= local) return;
-      const std::uint64_t global = spec_.shard_index + k * spec_.shard_count;
-      out.scenarios[static_cast<std::size_t>(k)] =
-          run_scenario_guarded(spec_, global, warmup_ptr);
-      if (spec_.progress) {
-        spec_.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                       local);
-      }
-    }
-  };
-  if (nthreads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(nthreads));
-    for (int t = 0; t < nthreads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  if (stopped.load(std::memory_order_relaxed)) {
+  const sweep::SweepRunner::IndexLoop loop = sweep::SweepRunner::for_each_index(
+      static_cast<std::size_t>(local), nthreads,
+      [&](std::size_t k) {
+        const std::uint64_t global = spec_.shard_index + k * spec_.shard_count;
+        out.scenarios[k] = run_scenario_guarded(spec_, global, warmup_ptr);
+        if (spec_.progress) {
+          spec_.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
+                         local);
+        }
+      },
+      spec_.should_stop);
+  if (loop.stopped) {
     // Truncating to the claimed prefix makes a cancelled campaign's summary
     // a pure function of the stop point: scenario draws depend only on
-    // (seed, index), so the summary equals that of a `cursor`-scenario
+    // (seed, index), so the summary equals that of a `claimed`-scenario
     // campaign with the same seed (locked by tests/test_campaign_determinism).
     out.cancelled = true;
-    out.scenarios.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
-        cursor.load(std::memory_order_relaxed), local)));
+    out.scenarios.resize(loop.claimed);
   }
   return out;
 }

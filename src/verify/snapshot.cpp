@@ -933,11 +933,10 @@ std::uint64_t substrate_fingerprint(const NocConfig& cfg) {
   h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.retrans_depth));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.retrans_per_vc_depth));
   h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.ecc_scheme));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.stage_bw_rc));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.stage_va));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.stage_sa));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.stage_st));
-  h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.stage_lt));
+  // The five stage latencies (BW/RC, VA, SA, ST, LT), one cycle each since
+  // they stopped being settings; still folded so blob envelopes keep their
+  // bytes.
+  for (int stage = 0; stage < 5; ++stage) h = fnv1a_u64(h, 1);
   h = fnv1a_u64(h, static_cast<std::uint64_t>(cfg.injection_queue_depth));
   h = fnv1a_u64(h, cfg.tdm_enabled ? 1 : 0);
   return h;

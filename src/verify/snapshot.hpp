@@ -16,9 +16,9 @@
 // cycle, so "same results" covers every field a snapshot covers.
 //
 // The blob's envelope carries a fingerprint of the substrate configuration
-// (topology, buffer geometry, ECC/retransmission schemes, pipeline depths —
-// everything that shapes the serialized containers) so a blob can only be
-// restored into a structurally identical fabric. Seeds, attack schedules,
+// (topology, buffer geometry, ECC/retransmission schemes — everything that
+// shapes the serialized containers) so a blob can only be restored into a
+// structurally identical fabric. Seeds, attack schedules,
 // mitigation mode and step_threads are deliberately NOT part of the
 // fingerprint: the fault campaign's snapshot-forking warmup restores one
 // warmed-up fabric into many differently attacked scenarios.
@@ -57,8 +57,8 @@ class SnapshotError : public std::runtime_error {
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
 /// FNV-1a over the structural NocConfig fields a blob depends on (topology,
-/// dimensions, buffer/VC geometry, retransmission + ECC schemes, pipeline
-/// stage latencies, injection queue depth, TDM). Excludes seeds,
+/// dimensions, buffer/VC geometry, retransmission + ECC schemes, injection
+/// queue depth, TDM) and the router's fixed stage latencies. Excludes seeds,
 /// step_threads and active_step — those do not shape the serialized state.
 [[nodiscard]] std::uint64_t substrate_fingerprint(const NocConfig& cfg);
 

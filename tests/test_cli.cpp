@@ -148,15 +148,23 @@ TEST_F(Cli, UsageErrorsExitTwo) {
   // Every value explore_cli cannot run is refused before the first cycle:
   // unknown names, a link the 4x4 fabric lacks (router 0 has no North
   // neighbour), a rate the traffic model refuses, signed counts, and a
-  // trojan target no flit can carry (16 routers, 4 VCs, 32-bit addresses).
+  // trojan target no flit can carry (16 routers, 4 VCs, 32-bit addresses,
+  // 6-bit thread ids).
   for (const char* args :
        {"--app bogus", "--mode bogus", "--routing bogus", "--scheme bogus",
         "--attack 99:N", "--attack 0:N", "--attack 4:X", "--attack -1:N",
         "--rate -1", "--cycles abc", "--cycles", "--no-such-flag",
         "--cycles -1", "--killsw -1", "--target dest=16", "--target vc=4",
-        "--target src=-1", "--target mem=4294967296"}) {
+        "--target src=-1", "--target mem=4294967296", "--target thread=64"}) {
     EXPECT_EQ(explore(args).status, 2) << "explore_cli " << args;
   }
+}
+
+TEST_F(Cli, ExploreTargetsAThread) {
+  // Spec files and the trojan take thread targets; so does explore_cli.
+  const CliRun r = explore("--target thread=3 --cycles 10");
+  EXPECT_EQ(r.status, 0);
+  EXPECT_NE(r.out.find("target=thread"), std::string::npos) << r.out;
 }
 
 TEST_F(Cli, SpecTracingNeedsTraceDir) {

@@ -2,7 +2,6 @@
 
 #include "common/config.hpp"
 #include "common/expect.hpp"
-#include "common/log.hpp"
 #include "common/types.hpp"
 
 namespace htnoc {
@@ -17,7 +16,6 @@ TEST(Config, DefaultsMatchPaperPlatform) {
   EXPECT_EQ(cfg.num_routers(), 16);
   EXPECT_EQ(cfg.vcs_per_port, 4);
   EXPECT_EQ(cfg.buffer_depth, 4);
-  EXPECT_EQ(cfg.pipeline_depth(), 5);  // BW/RC, VA, SA, ST, LT
   EXPECT_EQ(cfg.ports_per_router(), 8);
   EXPECT_EQ(cfg.ecc_scheme, EccScheme::kSecded);
   EXPECT_EQ(cfg.retrans_scheme, RetransmissionScheme::kOutputBuffer);
@@ -38,7 +36,6 @@ TEST(Config, ValidateRejectsEachBadField) {
   expect_invalid([](NocConfig& c) { c.buffer_depth = 0; });
   expect_invalid([](NocConfig& c) { c.retrans_depth = 0; });
   expect_invalid([](NocConfig& c) { c.retrans_per_vc_depth = 0; });
-  expect_invalid([](NocConfig& c) { c.stage_lt = 0; });
   expect_invalid([](NocConfig& c) { c.injection_queue_depth = 0; });
   expect_invalid([](NocConfig& c) {
     c.tdm_enabled = true;
@@ -59,22 +56,6 @@ TEST(Contracts, MacrosThrowWithLocation) {
   EXPECT_THROW(HTNOC_ENSURE(false), ContractViolation);
   EXPECT_THROW(HTNOC_INVARIANT(false), ContractViolation);
   EXPECT_NO_THROW(HTNOC_EXPECT(true));
-}
-
-TEST(Log, LevelGatesOutput) {
-  const LogLevel before = Log::level();
-  Log::set_level(LogLevel::kError);
-  EXPECT_TRUE(Log::enabled(LogLevel::kError));
-  EXPECT_FALSE(Log::enabled(LogLevel::kInfo));
-  Log::set_level(LogLevel::kDebug);
-  EXPECT_TRUE(Log::enabled(LogLevel::kInfo));
-  EXPECT_FALSE(Log::enabled(LogLevel::kTrace));
-  // The helpers format lazily and never crash.
-  log_error("e", 1);
-  log_warn("w", 2.5);
-  log_info("i ", std::string("x"));
-  log_debug("d");
-  Log::set_level(before);
 }
 
 TEST(Types, OppositeDirections) {

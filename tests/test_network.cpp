@@ -34,7 +34,7 @@ TEST_F(NetworkTest, LinkAccessorsMatchGeometry) {
   EXPECT_TRUE(net.has_link(0, Direction::kEast));
   EXPECT_FALSE(net.has_link(0, Direction::kWest));
   EXPECT_TRUE(net.has_link(5, Direction::kNorth));
-  EXPECT_EQ(net.link(0, Direction::kEast).latency(), cfg.stage_lt);
+  EXPECT_EQ(net.link(0, Direction::kEast).latency(), 1);  // LT: one cycle
 }
 
 TEST_F(NetworkTest, CyclesAdvance) {

@@ -225,7 +225,6 @@ sweep::SweepSpec traced_spec(int step_threads) {
 }
 
 TEST(ParallelStepDeterminism, TraceStreamsAreByteIdentical) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "built with HTNOC_TRACE=0";
   // Both parallelism layers at once: sweep workers x step threads.
   const sweep::SweepResult serial = sweep::SweepRunner({2}).run(traced_spec(1));
   const sweep::SweepResult par = sweep::SweepRunner({2}).run(traced_spec(8));

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "gtest/gtest.h"
 #include "sim/simulator.hpp"
 #include "sweep/spec.hpp"
@@ -169,6 +170,18 @@ TEST(SnapshotRoundtrip, RestoreAcrossThreadCounts) {
   b.load(blob);
   b.step(200);
   EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST(SnapshotRoundtrip, BlobBytesArePinned) {
+  // Every byte of the blob, envelope included: the substrate fingerprint,
+  // the payload and its digest. Recorded before the stage latencies became
+  // constants; a refactor that moves any byte fails here.
+  sim::SimConfig cfg;
+  Rig r(cfg);
+  r.step(500);
+  const std::vector<std::uint8_t> blob = r.save();
+  EXPECT_EQ(blob.size(), 171526u);
+  EXPECT_EQ(fnv1a(blob.data(), blob.size()), 0x83A2F5B9D8C9CA28ull);
 }
 
 TEST(SnapshotRoundtrip, CorruptPayloadRejected) {

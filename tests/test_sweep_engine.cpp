@@ -1,8 +1,10 @@
 // Unit coverage for the sweep engine: grid expansion and seeding,
-// aggregation math, worker-count resolution, and error containment when a
-// run throws mid-sweep.
+// aggregation math, worker-count resolution, the worker loop, and error
+// containment when a run throws mid-sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -188,6 +190,27 @@ TEST(SweepRunner, WorkerCountResolution) {
   EXPECT_EQ(sweep::SweepRunner::resolve_threads(-2, 1), 1);
   EXPECT_EQ(sweep::SweepRunner::resolve_threads(8, 0), 8)
       << "zero runs: any positive count is fine";
+}
+
+TEST(SweepRunner, IndexLoopRunsEachIndexOnceAndStopsOnAPrefix) {
+  for (const int threads : {1, 4}) {
+    std::vector<std::atomic<int>> hits(50);
+    const auto loop = sweep::SweepRunner::for_each_index(
+        hits.size(), threads, [&](std::size_t i) { hits[i].fetch_add(1); });
+    EXPECT_EQ(loop.claimed, hits.size());
+    EXPECT_FALSE(loop.stopped);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads;
+  }
+  // A token that fires at its eighth poll leaves exactly [0, 7) run.
+  int polls = 0;
+  std::vector<int> ran(50, 0);
+  const auto loop = sweep::SweepRunner::for_each_index(
+      ran.size(), 1, [&](std::size_t i) { ran[i] = 1; },
+      [&] { return ++polls > 7; });
+  EXPECT_TRUE(loop.stopped);
+  EXPECT_EQ(loop.claimed, 7u);
+  EXPECT_EQ(std::count(ran.begin(), ran.begin() + 7, 1), 7);
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 7);
 }
 
 TEST(SweepRunner, ExceptionMidSweepIsContained) {

@@ -50,7 +50,6 @@ std::vector<std::string> trace_images(const sweep::SweepResult& r) {
 }  // namespace
 
 TEST(TraceDeterminism, ThreadCountDoesNotChangeTraces) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "built with HTNOC_TRACE=0";
   const sweep::SweepSpec spec = fixture_spec();
   const sweep::SweepResult r1 = sweep::SweepRunner({1}).run(spec);
   const sweep::SweepResult r2 = sweep::SweepRunner({2}).run(spec);
@@ -77,7 +76,6 @@ TEST(TraceDeterminism, ThreadCountDoesNotChangeTraces) {
 }
 
 TEST(TraceDeterminism, SingleGridPointReplaysByteIdentically) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "built with HTNOC_TRACE=0";
   const sweep::SweepSpec spec = fixture_spec();
   const std::vector<sweep::RunSpec> runs = sweep::expand(spec);
   // Pick an attacked point (the interesting one forensically).
@@ -110,7 +108,6 @@ TEST(TraceDeterminism, TracingDoesNotPerturbSweepMetrics) {
 }
 
 TEST(TraceDeterminism, WavefrontAgreesWithUtilizationProbe) {
-  if (!trace::kCompiledIn) GTEST_SKIP() << "built with HTNOC_TRACE=0";
   sweep::SweepSpec spec = fixture_spec();
   spec.run_cycles = 900;  // give the DoS tree time to saturate
   const std::vector<sweep::RunSpec> runs = sweep::expand(spec);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "traffic/generator.hpp"
-#include "traffic/pattern.hpp"
 
 namespace htnoc::traffic {
 namespace {
@@ -88,47 +87,6 @@ TEST_F(TrafficModelTest, MemAddressesWithinFootprint) {
     EXPECT_GE(mem, p.mem_base);
     EXPECT_LT(mem, p.mem_base + p.mem_span);
   }
-}
-
-TEST(Patterns, UniformAvoidsSelfAndCoversAll) {
-  UniformRandom u(64);
-  Rng rng(5);
-  std::set<NodeId> seen;
-  for (int i = 0; i < 5000; ++i) {
-    const NodeId d = u.pick_dest(7, rng);
-    EXPECT_NE(d, 7);
-    seen.insert(d);
-  }
-  EXPECT_EQ(seen.size(), 63u);
-}
-
-TEST(Patterns, TransposeMirrorsCoordinates) {
-  MeshGeometry geom{4, 4, 4};
-  Transpose t(geom);
-  Rng rng(1);
-  // Core 4 is on router 1 = (1,0); transpose router = (0,1) = r4.
-  const NodeId d = t.pick_dest(4, rng);
-  EXPECT_EQ(geom.router_of_core(d), 4);
-  EXPECT_EQ(geom.local_slot_of_core(d), 0);
-}
-
-TEST(Patterns, BitComplementReflects) {
-  BitComplement b(64);
-  Rng rng(1);
-  EXPECT_EQ(b.pick_dest(0, rng), 63);
-  EXPECT_EQ(b.pick_dest(63, rng), 0);
-  EXPECT_EQ(b.pick_dest(10, rng), 53);
-}
-
-TEST(Patterns, HotspotFractionRespected) {
-  Hotspot h(64, 0, 0.5);
-  Rng rng(9);
-  int hot = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    if (h.pick_dest(30, rng) == 0) ++hot;
-  }
-  EXPECT_NEAR(static_cast<double>(hot) / n, 0.5, 0.03);
 }
 
 class GeneratorTest : public ::testing::Test {
