@@ -119,14 +119,6 @@ class InputUnit {
   /// phits. All link interactions here are sends (single writer).
   void process_staged(Cycle now);
 
-  /// Pull this cycle's phit arrivals off the link: decode, ack/nack,
-  /// de-obfuscate, buffer. Serial convenience wrapper (drain + compute) for
-  /// standalone unit use.
-  void process_arrivals(Cycle now) {
-    drain_link(now);
-    process_staged(now);
-  }
-
   [[nodiscard]] int num_vcs() const { return cfg_.vcs_per_port; }
   /// Bit v is set iff VC v holds at least one packet stream. Derived state:
   /// kept by deliver/pop_front_flit/purge_packet, rebuilt on snapshot load.

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -43,9 +42,7 @@ class Link {
     std::uint64_t nacks_sent = 0;
   };
 
-  Link(std::string name, int latency) : name_(std::move(name)), latency_(latency) {
-    HTNOC_EXPECT(latency >= 1);
-  }
+  Link() = default;
   // The count pointers may point into the link itself (see bind_counts).
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -69,7 +66,7 @@ class Link {
     return !disabled_ && last_send_cycle_ != static_cast<std::int64_t>(now);
   }
 
-  /// Start link traversal at cycle `now`; the phit arrives at now + latency.
+  /// Start link traversal at cycle `now`; the phit arrives one cycle later.
   /// Fault injectors run in attach order.
   void send(Cycle now, LinkPhit phit) {
     HTNOC_EXPECT(can_send(now));
@@ -96,13 +93,13 @@ class Link {
         tap_.emit(e);
       }
     }
-    in_flight_.push_back({now + static_cast<Cycle>(latency_), std::move(phit)});
+    in_flight_.push_back({now + 1, std::move(phit)});
     ++*phit_count_;
   }
 
   /// Pop all phits whose traversal completes at cycle `now`, appending to
   /// `out`. The drain-phase primitive of the two-phase parallel step: with
-  /// forward latency >= 1 nothing sent during cycle `now` is due at `now`,
+  /// a one-cycle traversal nothing sent during cycle `now` is due at `now`,
   /// so draining before any unit computes picks up exactly what the serial
   /// interleaved pull would, and phase-2 sends become the only in_flight_
   /// mutations (single writer per deque).
@@ -113,13 +110,6 @@ class Link {
       in_flight_.pop_front();
       --*phit_count_;
     }
-  }
-
-  /// Pop all phits whose traversal completes at cycle `now`.
-  [[nodiscard]] std::vector<LinkPhit> take_arrivals(Cycle now) {
-    std::vector<LinkPhit> out;
-    drain_arrivals(now, out);
-    return out;
   }
 
   // --- reverse control channel (delay 1 cycle, trusted) ---
@@ -156,8 +146,8 @@ class Link {
     return n;
   }
 
-  /// Appending drain variants of take_credits/take_acks (see
-  /// drain_arrivals; the reverse channel's fixed 1-cycle delay gives the
+  /// Pop the credits and ACK/NACKs due at cycle `now`, appending to `out`
+  /// (see drain_arrivals; the reverse channel's 1-cycle delay gives the
   /// same no-same-cycle-visibility guarantee).
   void drain_credits(Cycle now, std::vector<CreditMsg>& out) {
     while (!credits_.empty() && credits_.front().arrive <= now) {
@@ -172,17 +162,6 @@ class Link {
       acks_.pop_front();
       --*control_count_;
     }
-  }
-
-  [[nodiscard]] std::vector<CreditMsg> take_credits(Cycle now) {
-    std::vector<CreditMsg> out;
-    drain_credits(now, out);
-    return out;
-  }
-  [[nodiscard]] std::vector<AckMsg> take_acks(Cycle now) {
-    std::vector<AckMsg> out;
-    drain_acks(now, out);
-    return out;
   }
 
   // --- fault attachment & BIST ---
@@ -247,8 +226,6 @@ class Link {
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] int latency() const noexcept { return latency_; }
   [[nodiscard]] bool idle() const noexcept { return in_flight_.empty(); }
   /// Queue lengths the two in-flight words track (see bind_counts).
   [[nodiscard]] std::size_t phits_queued() const noexcept {
@@ -280,8 +257,6 @@ class Link {
     AckMsg msg;
   };
 
-  std::string name_;
-  int latency_;
   bool disabled_ = false;
   std::int64_t last_send_cycle_ = -1;
   // Contiguous rings (src/noc/pool.hpp): FIFO in steady state, allocation-

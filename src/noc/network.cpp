@@ -28,13 +28,17 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t n, int s,
 }
 }  // namespace
 
-std::string Network::link_name(RouterId from, Direction d) {
-  return "link.r" + std::to_string(from) + "." + to_string(d);
+std::string Network::Hop::name() const {
+  if (port == trace::kLinkPortInjection) return "inj.c" + std::to_string(node);
+  if (port == trace::kLinkPortEjection) return "ej.c" + std::to_string(node);
+  return "r" + std::to_string(node) + "->" + to_string(port_direction(port));
 }
 
 Network::Network(const NocConfig& cfg)
     : cfg_(cfg), geom_(validated_geometry(cfg)),
-      routing_(std::make_unique<XyRouting>(geom_)) {
+      routing_(std::make_unique<XyRouting>(geom_)),
+      hops_(static_cast<std::size_t>(geom_.num_routers() * 4 +
+                                     geom_.num_cores() * 2)) {
   const int nr = geom_.num_routers();
   const int nc = geom_.num_cores();
   const int ports = cfg_.ports_per_router();
@@ -56,42 +60,41 @@ Network::Network(const NocConfig& cfg)
         std::make_unique<Router>(cfg_, r, routing_.get(), router_counts(r, 0)));
   }
 
-  // Inter-router links, wired in the canonical order (routers ascending,
-  // N,S,E,W); snapshot bytes and goldens depend on it. A link's phits
-  // count at the input it feeds, its control messages at the output that
-  // sends on it.
-  mesh_links_.resize(static_cast<std::size_t>(nr) * 4);
+  // Wire hop `i` of the table (see hops_). A hop's phits count at the
+  // input it feeds, its control messages at the output that sends on it.
+  const auto wire = [&](std::size_t i, std::uint16_t node, std::int8_t port,
+                        OutputUnit& out, PortCounts* out_counts, InputUnit& in,
+                        PortCounts* in_counts) {
+    Hop& h = hops_[i];
+    h.out = &out;
+    h.in = &in;
+    h.node = node;
+    h.port = port;
+    out.connect(&h.link);
+    in.connect(&h.link);
+    h.link.bind_counts(&in_counts->phits, &out_counts->control);
+  };
   for (const LinkRef& l : geom_.links()) {
-    auto lnk = std::make_unique<Link>(link_name(l.from, l.dir), 1);
     const RouterId to = geom_.neighbor(l.from, l.dir);
     const int out_port = direction_port(l.dir);
     const int in_port = direction_port(opposite(l.dir));
-    routers_[static_cast<std::size_t>(l.from)]->output(out_port).connect(
-        lnk.get());
-    routers_[static_cast<std::size_t>(to)]->input(in_port).connect(lnk.get());
-    lnk->bind_counts(&router_counts(to, in_port)->phits,
-                     &router_counts(l.from, out_port)->control);
-    mesh_links_[static_cast<std::size_t>(link_index(l))] = std::move(lnk);
+    wire(static_cast<std::size_t>(link_index(l)), l.from,
+         static_cast<std::int8_t>(out_port), router(l.from).output(out_port),
+         router_counts(l.from, out_port), router(to).input(in_port),
+         router_counts(to, in_port));
   }
 
-  // NIs and local links.
   nis_.reserve(static_cast<std::size_t>(nc));
-  inj_links_.resize(static_cast<std::size_t>(nc));
-  ej_links_.resize(static_cast<std::size_t>(nc));
   for (NodeId c = 0; c < nc; ++c) {
     nis_.push_back(std::make_unique<NetworkInterface>(cfg_, c, ni_counts(c)));
+    NetworkInterface& ni = *nis_.back();
     const RouterId r = geom_.router_of_core(c);
-    const int slot = geom_.local_slot_of_core(c);
-    const int port = kPortLocalBase + slot;
-    auto inj = std::make_unique<Link>("inj.c" + std::to_string(c), 1);
-    auto ej = std::make_unique<Link>("ej.c" + std::to_string(c), 1);
-    routers_[static_cast<std::size_t>(r)]->input(port).connect(inj.get());
-    routers_[static_cast<std::size_t>(r)]->output(port).connect(ej.get());
-    nis_.back()->connect(inj.get(), ej.get());
-    inj->bind_counts(&router_counts(r, port)->phits, &ni_counts(c)->control);
-    ej->bind_counts(&ni_counts(c)->phits, &router_counts(r, port)->control);
-    inj_links_[static_cast<std::size_t>(c)] = std::move(inj);
-    ej_links_[static_cast<std::size_t>(c)] = std::move(ej);
+    const int port = kPortLocalBase + geom_.local_slot_of_core(c);
+    const auto i = static_cast<std::size_t>(nr * 4 + c * 2);
+    wire(i, c, trace::kLinkPortInjection, ni.injection_port(), ni_counts(c),
+         router(r).input(port), router_counts(r, port));
+    wire(i + 1, c, trace::kLinkPortEjection, router(r).output(port),
+         router_counts(r, port), ni.ejection_port(), ni_counts(c));
   }
 }
 
@@ -243,18 +246,20 @@ void Network::set_audit(FlitAuditObserver* audit) {
 }
 
 void Network::collect_resident(std::vector<ResidentFlit>& out) const {
+  // A hop's phits are filed under its own identity (see Hop).
+  const auto hop_phits = [&](std::size_t first, std::size_t count) {
+    for (std::size_t i = first; i < first + count; ++i) {
+      hops_[i].link.collect_resident(out, hops_[i].node, hops_[i].port);
+    }
+  };
+  const auto nr = static_cast<std::size_t>(geom_.num_routers());
   for (RouterId r = 0; r < geom_.num_routers(); ++r) {
     const Router& rt = *routers_[static_cast<std::size_t>(r)];
     for (int port = 0; port < rt.num_ports(); ++port) {
       rt.input(port).collect_resident(out, r, static_cast<std::int8_t>(port));
       rt.output(port).collect_resident(out, r, static_cast<std::int8_t>(port));
     }
-    for (Direction d : kDirs) {
-      if (!has_link(r, d)) continue;
-      mesh_links_[static_cast<std::size_t>(link_index({r, d}))]
-          ->collect_resident(out, r,
-                             static_cast<std::int8_t>(direction_port(d)));
-    }
+    hop_phits(static_cast<std::size_t>(r) * 4, 4);
   }
   for (NodeId c = 0; c < geom_.num_cores(); ++c) {
     const NetworkInterface& ni = *nis_[static_cast<std::size_t>(c)];
@@ -262,10 +267,7 @@ void Network::collect_resident(std::vector<ResidentFlit>& out) const {
     // NI-side ports reuse the router unit types; file them under the core.
     ni.injection_port().collect_resident(out, c, trace::kLinkPortInjection);
     ni.ejection_port().collect_resident(out, c, trace::kLinkPortEjection);
-    inj_links_[static_cast<std::size_t>(c)]->collect_resident(
-        out, c, trace::kLinkPortInjection);
-    ej_links_[static_cast<std::size_t>(c)]->collect_resident(
-        out, c, trace::kLinkPortEjection);
+    hop_phits(nr * 4 + static_cast<std::size_t>(c) * 2, 2);
   }
 }
 
@@ -279,18 +281,7 @@ void Network::set_trace(trace::TraceSink* sink) {
                        static_cast<std::uint8_t>(cfg_.concentration),
                        static_cast<std::uint8_t>(cfg_.topology));
   }
-  for (RouterId r = 0; r < geom_.num_routers(); ++r) {
-    for (Direction d : kDirs) {
-      if (!has_link(r, d)) continue;
-      link(r, d).set_trace(tap_, r, static_cast<std::int8_t>(direction_port(d)));
-    }
-  }
-  for (NodeId c = 0; c < geom_.num_cores(); ++c) {
-    inj_links_[static_cast<std::size_t>(c)]->set_trace(
-        tap_, c, trace::kLinkPortInjection);
-    ej_links_[static_cast<std::size_t>(c)]->set_trace(tap_, c,
-                                                      trace::kLinkPortEjection);
-  }
+  for (Hop& h : hops_) h.link.set_trace(tap_, h.node, h.port);
   for (auto& r : routers_) r->set_trace(tap_);
   for (auto& ni : nis_) ni->set_trace(tap_);
 }
@@ -309,12 +300,11 @@ void Network::set_delivery_callback(NetworkInterface::DeliveryCallback cb) {
 
 Link& Network::link(RouterId from, Direction dir) {
   HTNOC_EXPECT(has_link(from, dir));
-  return *mesh_links_[static_cast<std::size_t>(link_index({from, dir}))];
+  return hops_[static_cast<std::size_t>(link_index({from, dir}))].link;
 }
 
 bool Network::has_link(RouterId from, Direction dir) const {
-  if (from >= geom_.num_routers() || !geom_.has_neighbor(from, dir)) return false;
-  return mesh_links_[static_cast<std::size_t>(link_index({from, dir}))] != nullptr;
+  return from < geom_.num_routers() && geom_.has_neighbor(from, dir);
 }
 
 std::vector<LinkRef> Network::all_links() const { return geom_.links(); }
@@ -343,8 +333,7 @@ bool Network::would_disconnect(const LinkRef& l) const {
   while (!q.empty()) {
     const RouterId r = q.front();
     q.pop_front();
-    for (const Direction d : {Direction::kNorth, Direction::kSouth,
-                              Direction::kEast, Direction::kWest}) {
+    for (const Direction d : kDirs) {
       if (!geom_.has_neighbor(r, d)) continue;
       const RouterId nb = geom_.neighbor(r, d);
       if (seen[static_cast<std::size_t>(nb)]) continue;
@@ -405,20 +394,8 @@ std::vector<PacketId> Network::purge_packet(PacketId p) {
     removed.clear();
 
     // Pass 1: sweep phits off every link.
-    for (auto& l : mesh_links_) {
-      if (l) {
-        for (const auto uid : l->purge_packet(cur)) removed.push_back(uid);
-      }
-    }
-    for (auto& l : inj_links_) {
-      if (l) {
-        for (const auto uid : l->purge_packet(cur)) removed.push_back(uid);
-      }
-    }
-    for (auto& l : ej_links_) {
-      if (l) {
-        for (const auto uid : l->purge_packet(cur)) removed.push_back(uid);
-      }
+    for (Hop& h : hops_) {
+      for (const auto uid : h.link.purge_packet(cur)) removed.push_back(uid);
     }
 
     // Pass 2: inputs (router ports and NI ejection). Credits return through
@@ -455,7 +432,7 @@ std::vector<PacketId> Network::purge_packet(PacketId p) {
       }
     }
     for (auto& ni : nis_) {
-      (void)ni->purge_injection(now_, cur, buffered, &removed);
+      (void)ni->purge_injection(cur, buffered, &removed);
     }
 
     std::sort(removed.begin(), removed.end());
@@ -484,14 +461,8 @@ bool Network::packet_in_flight(PacketId p) const {
       }
     }
   }
-  for (const auto& l : mesh_links_) {
-    if (l && l->has_packet(p)) return true;
-  }
-  for (const auto& l : inj_links_) {
-    if (l && l->has_packet(p)) return true;
-  }
-  for (const auto& l : ej_links_) {
-    if (l && l->has_packet(p)) return true;
+  for (const Hop& h : hops_) {
+    if (h.link.has_packet(p)) return true;
   }
   return false;
 }
@@ -539,39 +510,10 @@ std::string check_hop(const OutputUnit& out, const Link& link,
 }  // namespace
 
 std::string Network::check_invariants() const {
-  const int vcs = cfg_.vcs_per_port;
-  const int depth = cfg_.buffer_depth;
-  // Inter-router hops.
-  for (RouterId r = 0; r < geom_.num_routers(); ++r) {
-    for (const Direction d :
-         {Direction::kNorth, Direction::kSouth, Direction::kEast,
-          Direction::kWest}) {
-      if (!has_link(r, d)) continue;
-      const Link& l = *mesh_links_[static_cast<std::size_t>(link_index({r, d}))];
-      const RouterId nb = geom_.neighbor(r, d);
-      const std::string err = check_hop(
-          routers_[static_cast<std::size_t>(r)]->output(direction_port(d)), l,
-          routers_[static_cast<std::size_t>(nb)]->input(
-              direction_port(opposite(d))),
-          vcs, depth,
-          [r, d] { return "r" + std::to_string(r) + "->" + to_string(d); });
-      if (!err.empty()) return err;
-    }
-  }
-  // NI injection and ejection hops.
-  for (NodeId c = 0; c < geom_.num_cores(); ++c) {
-    const RouterId r = geom_.router_of_core(c);
-    const int port = kPortLocalBase + geom_.local_slot_of_core(c);
-    auto& ni = *nis_[static_cast<std::size_t>(c)];
-    std::string err =
-        check_hop(ni.injection_port(), *inj_links_[static_cast<std::size_t>(c)],
-                  routers_[static_cast<std::size_t>(r)]->input(port), vcs,
-                  depth, [c] { return "inj.c" + std::to_string(c); });
-    if (!err.empty()) return err;
-    err = check_hop(routers_[static_cast<std::size_t>(r)]->output(port),
-                    *ej_links_[static_cast<std::size_t>(c)],
-                    ni.ejection_port(), vcs, depth,
-                    [c] { return "ej.c" + std::to_string(c); });
+  for (const Hop& h : hops_) {
+    if (!h.wired()) continue;
+    std::string err = check_hop(*h.out, h.link, *h.in, cfg_.vcs_per_port,
+                                cfg_.buffer_depth, [&h] { return h.name(); });
     if (!err.empty()) return err;
   }
   return {};
@@ -617,14 +559,8 @@ bool Network::quiescent() const {
   for (const auto& ni : nis_) {
     if (ni->injection_occupancy() != 0) return false;
   }
-  for (const auto& l : mesh_links_) {
-    if (l && !l->idle()) return false;
-  }
-  for (const auto& l : inj_links_) {
-    if (l && !l->idle()) return false;
-  }
-  for (const auto& l : ej_links_) {
-    if (l && !l->idle()) return false;
+  for (const Hop& h : hops_) {
+    if (!h.link.idle()) return false;
   }
   return true;
 }

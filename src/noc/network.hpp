@@ -6,9 +6,11 @@
 // fabric-agnostic.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/config.hpp"
@@ -53,7 +55,7 @@ class Network {
   /// active set (cfg.active_step) against the cycle-start fixed point and
   /// drains every due link message into unit-local staging; phase 2 runs
   /// each active unit's full pipeline over the staged input. Because link
-  /// forward latency is >= 1 and the reverse channel delays by exactly 1,
+  /// traversal and the reverse channel each take exactly one cycle,
   /// nothing sent during a cycle is visible within it — so with
   /// cfg.step_threads > 1 the phases shard across a persistent worker pool
   /// (contiguous router/NI ranges; one dispatch per cycle, with the
@@ -210,10 +212,28 @@ class Network {
   /// disabled links).
   enum class RoutingMode : std::uint8_t { kDefault, kWestFirst, kUpDown };
 
-  [[nodiscard]] static std::string link_name(RouterId from, Direction d);
   /// Emit router blocked/unblocked transitions (kSaturation category). Runs
   /// after ++now_ so its view matches sample_utilization at the same cycle.
   void trace_saturation();
+  /// One link with the output that sends on it and the input that receives
+  /// from it, plus its identity: the source router and direction port of
+  /// a mesh link, or the core and trace::kLinkPortInjection /
+  /// kLinkPortEjection of a local link. Traces, the census and the
+  /// credit check all file the hop under that identity. A mesh slot with
+  /// no neighbour is left unwired; its link never carries anything, so
+  /// walks that only read or clear phits need not skip it.
+  struct Hop {
+    Link link;
+    OutputUnit* out = nullptr;  ///< Null when unwired.
+    InputUnit* in = nullptr;
+    std::uint16_t node = 0;
+    std::int8_t port = 0;
+
+    [[nodiscard]] bool wired() const noexcept { return out != nullptr; }
+    /// `r4->N`, `inj.c3` or `ej.c3`. Built only to report an error.
+    [[nodiscard]] std::string name() const;
+  };
+
   /// Effective parallel-step shard count: cfg.step_threads clamped to the
   /// router count (and >= 1).
   [[nodiscard]] int step_shards() const noexcept;
@@ -234,11 +254,10 @@ class Network {
   RoutingMode routing_mode_ = RoutingMode::kDefault;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<NetworkInterface>> nis_;
-  // Inter-router links indexed by link_index(LinkRef).
-  std::vector<std::unique_ptr<Link>> mesh_links_;
-  // Local links: [core] -> NI->router and router->NI.
-  std::vector<std::unique_ptr<Link>> inj_links_;
-  std::vector<std::unique_ptr<Link>> ej_links_;
+  // Every hop: four mesh slots per router in link_index order, then each
+  // core's injection hop followed by its ejection hop. Snapshot bytes, the
+  // census and the credit check follow this order.
+  std::vector<Hop> hops_;
 
   // In-flight words, one PortCounts per router port (routers ascending)
   // then one per NI; see PortCounts and Link::bind_counts. Derived state:

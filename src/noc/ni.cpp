@@ -165,9 +165,8 @@ void NetworkInterface::step_ejection(Cycle now) {
 }
 
 int NetworkInterface::purge_injection(
-    Cycle now, PacketId p, const std::vector<std::uint64_t>& buffered_uids,
+    PacketId p, const std::vector<std::uint64_t>& buffered_uids,
     std::vector<std::uint64_t>* removed_uids) {
-  (void)now;
   int purged = 0;
   for (auto& s : streams_) {
     for (std::size_t i = 0; i < s.queue.size();) {

@@ -53,12 +53,6 @@ class NetworkInterface {
     HTNOC_EXPECT(counts != nullptr);
   }
 
-  /// Wire the NI to its router's local port pair.
-  void connect(Link* to_router, Link* from_router) {
-    out_.connect(to_router);
-    in_.connect(from_router);
-  }
-
   void set_delivery_callback(DeliveryCallback cb) { on_delivery_ = std::move(cb); }
 
   /// Install (or clear) the flit-accounting observer (see FlitAuditObserver).
@@ -119,7 +113,7 @@ class NetworkInterface {
   /// Purge pass over the source queues and local-link retransmission buffer.
   /// `buffered_uids` must be sorted ascending (see OutputUnit::purge_packet).
   /// Appends purged flit uids to `removed_uids` when non-null.
-  int purge_injection(Cycle now, PacketId p,
+  int purge_injection(PacketId p,
                       const std::vector<std::uint64_t>& buffered_uids,
                       std::vector<std::uint64_t>* removed_uids = nullptr);
 

@@ -169,13 +169,6 @@ class OutputUnit {
   /// Compute phase: apply the staged credit returns and ACK/NACKs.
   void process_staged_control(Cycle now);
 
-  /// Drain + apply the reverse control channel: ACKs/NACKs and credit
-  /// returns. Serial convenience wrapper for standalone unit use.
-  void process_control(Cycle now) {
-    drain_control(now);
-    process_staged_control(now);
-  }
-
   /// Remove every slot of packet `p` (link-disable recovery). Credits are
   /// restored directly except for flits known to be buffered at the
   /// receiver (`buffered_uids`, which MUST be sorted ascending) — those

@@ -99,7 +99,7 @@ void Router::compute(Cycle now) {
   for (std::uint32_t m = std::exchange(bw_ports_, 0); m != 0; m &= m - 1) {
     inputs_[static_cast<std::size_t>(std::countr_zero(m))]->process_staged(now);
   }
-  stage_rc(now);
+  stage_rc();
   stage_va(now);
   stage_sa_st(now);
   // LT: each output holding a slot encodes and sends, port-ascending.
@@ -108,7 +108,7 @@ void Router::compute(Cycle now) {
   }
 }
 
-void Router::stage_rc(Cycle now) {
+void Router::stage_rc() {
   for (auto& in : inputs_) {
     for (std::uint32_t m = in->busy_vcs(); m != 0; m &= m - 1) {
       const int vc = std::countr_zero(m);
@@ -126,7 +126,6 @@ void Router::stage_rc(Cycle now) {
       stream.phase_down_next = dec.next_phase_down;
       stream.state = InputUnit::PacketStream::State::kWaitVA;
       stream.va_eligible = in->front_arrival(vc) + 1;
-      (void)now;
     }
   }
 }

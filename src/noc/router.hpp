@@ -150,7 +150,7 @@ class Router {
  private:
   friend struct htnoc::verify::StateCodec;
 
-  void stage_rc(Cycle now);
+  void stage_rc();
   void stage_va(Cycle now);
   void stage_sa_st(Cycle now);
 

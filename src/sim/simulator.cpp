@@ -73,12 +73,8 @@ Simulator::Simulator(SimConfig cfg) : cfg_(std::move(cfg)) {
       det->set_trace(tap, static_cast<std::uint16_t>(r));
       // Give the detector each inter-router input port's link for BIST.
       for (int port = 0; port < 4; ++port) {
-        const Direction d = port_direction(port);
-        // Input port `d` of r is fed by the neighbour's link toward r.
-        if (!geom.has_neighbor(r, d)) continue;
-        const RouterId nb = geom.neighbor(r, d);
-        if (net_->has_link(nb, opposite(d))) {
-          det->set_port_link(port, &net_->link(nb, opposite(d)));
+        if (Link* l = net_->router(r).input(port).link()) {
+          det->set_port_link(port, l);
         }
       }
       if (cfg_.mode == MitigationMode::kReroute) {

@@ -28,6 +28,16 @@ namespace {
 /// Keys land in the ledger and in snapshots, so the seed stays.
 constexpr std::uint64_t kDetailKeySeed = 1469598103934665603ULL;
 
+/// Cycles a delivered flit may remain resident upstream while its final
+/// ACK clears the retransmission slot (reverse channel is 1 cycle; 8
+/// leaves slack for the de-obfuscation penalty).
+constexpr Cycle kAckGrace = 8;
+/// Stop recording after this many violations (the first is the story).
+constexpr std::size_t kMaxViolations = 16;
+/// Trace events of context attached to each violation (when a sink is
+/// installed).
+constexpr std::size_t kTraceContext = 8;
+
 std::uint64_t uid_of(PacketId p, int seq) noexcept {
   return (static_cast<std::uint64_t>(p) << 8) ^
          static_cast<std::uint64_t>(seq & 0xFF);
@@ -225,7 +235,7 @@ void NetworkInvariantAuditor::check_census(Cycle now) {
     LedgerEntry* const e = ledger_.find(r.uid);
     if (e == nullptr || e->state == LedgerEntry::State::kPurged ||
         (e->state == LedgerEntry::State::kDelivered &&
-         now > e->since + cfg_.ack_grace)) {
+         now > e->since + kAckGrace)) {
       reconcile_sorted(now);
       return;
     }
@@ -244,7 +254,7 @@ void NetworkInvariantAuditor::check_census(Cycle now) {
     } else if (e.state == LedgerEntry::State::kResident) {
       reconcile_sorted(now);
       return;
-    } else if (now > e.since + cfg_.ack_grace) {
+    } else if (now > e.since + kAckGrace) {
       ledger_.erase_at(i);  // the last entry moves to i; visit it next
     } else {
       ++i;
@@ -287,7 +297,7 @@ void NetworkInvariantAuditor::reconcile_sorted(Cycle now) {
         os << "flit vanished from the fabric (resident since cycle "
            << e.since << ")";
         record(now, ViolationKind::kFlitLoss, e.uid, e.packet, os.str());
-      } else if (now > e.since + cfg_.ack_grace) {
+      } else if (now > e.since + kAckGrace) {
         // Fully retired (delivered/purged, no residue left): garbage-collect
         // so the ledger tracks only in-flight and recently-retired flits.
       } else {
@@ -307,7 +317,7 @@ void NetworkInvariantAuditor::reconcile_sorted(Cycle now) {
          << " port=" << static_cast<int>(r.port);
       record(now, ViolationKind::kPurgeLeak, uid, e.packet, os.str());
     } else if (e.state == LedgerEntry::State::kDelivered &&
-               now > e.since + cfg_.ack_grace) {
+               now > e.since + kAckGrace) {
       std::ostringstream os;
       os << "flit delivered at cycle " << e.since << " still resident at "
          << htnoc::to_string(r.site) << " node=" << r.node
@@ -416,18 +426,18 @@ void NetworkInvariantAuditor::record(Cycle now, ViolationKind kind,
                                      std::uint64_t uid, PacketId packet,
                                      std::string detail) {
   if (already_reported(kind, uid)) return;
-  if (violations_.size() >= cfg_.max_violations) return;
+  if (violations_.size() >= kMaxViolations) return;
   Violation v;
   v.cycle = now;
   v.kind = kind;
   v.uid = uid;
   v.packet = packet;
   v.detail = std::move(detail);
-  if (sink_ != nullptr && cfg_.trace_context > 0) {
+  if (sink_ != nullptr) {
     std::vector<trace::Event> tail = sink_->snapshot();
-    if (tail.size() > cfg_.trace_context) {
+    if (tail.size() > kTraceContext) {
       tail.erase(tail.begin(),
-                 tail.end() - static_cast<std::ptrdiff_t>(cfg_.trace_context));
+                 tail.end() - static_cast<std::ptrdiff_t>(kTraceContext));
     }
     v.context = std::move(tail);
   }

@@ -47,18 +47,9 @@ struct AuditConfig {
   bool enabled = false;
   /// Audit every `period` cycles (1 = every cycle).
   Cycle period = 1;
-  /// Cycles a delivered flit may remain resident upstream while its final
-  /// ACK clears the retransmission slot (reverse channel is 1 cycle; 8
-  /// leaves slack for the de-obfuscation penalty).
-  Cycle ack_grace = 8;
   /// Cycles a ready front flit may sit unserved, with no saturation report
   /// on its router, before the auditor calls it silent starvation.
   Cycle deadlock_horizon = 250;
-  /// Stop recording after this many violations (the first is the story).
-  std::size_t max_violations = 16;
-  /// Trace events of context attached to each violation (when a sink is
-  /// installed).
-  std::size_t trace_context = 8;
 };
 
 struct Violation {

@@ -296,14 +296,15 @@ struct StateCodec {
 
   // --- links and their fault injectors ---
 
+  // `hop` names the link in load errors; the name is built only there.
   template <class Ar>
   static void io_injector(Ar& ar, LinkFaultInjector& inj,
-                          const std::string& link_name) {
+                          const Network::Hop& hop) {
     std::string name = inj.name();
     ar.str(name);
     if constexpr (Ar::kLoading) {
       if (name != inj.name()) {
-        throw SnapshotError("fault injector mismatch on link '" + link_name +
+        throw SnapshotError("fault injector mismatch on link '" + hop.name() +
                             "': blob has '" + name + "', target has '" +
                             inj.name() + "'");
       }
@@ -325,12 +326,13 @@ struct StateCodec {
       ar.u64(perm->faults_injected_);
     } else {
       throw SnapshotError("unserializable fault injector '" + name +
-                          "' on link '" + link_name + "'");
+                          "' on link '" + hop.name() + "'");
     }
   }
 
   template <class Ar>
-  static void io_link(Ar& ar, Link& l) {
+  static void io_link(Ar& ar, Network::Hop& hop) {
+    Link& l = hop.link;
     ar.b(l.disabled_);
     ar.i64(l.last_send_cycle_);
     io_seq(ar, l.in_flight_, [](Ar& a, auto& f) {
@@ -363,21 +365,25 @@ struct StateCodec {
     if constexpr (Ar::kLoading) {
       if (n > l.injectors_.size()) {
         throw SnapshotError("snapshot has more fault injectors than link '" +
-                            l.name_ + "'");
+                            hop.name() + "'");
       }
     }
     for (std::uint64_t i = 0; i < n; ++i) {
-      io_injector(ar, *l.injectors_[static_cast<std::size_t>(i)], l.name_);
+      io_injector(ar, *l.injectors_[static_cast<std::size_t>(i)], hop);
     }
     if constexpr (Ar::kLoading) l.recount();
   }
 
+  /// `count` hops of the table from `first`, `stride` apart, each behind a
+  /// presence flag.
   template <class Ar>
-  static void io_link_array(Ar& ar, std::vector<std::unique_ptr<Link>>& links,
-                            const char* what) {
-    fixed_size(ar, links.size(), what);
-    for (auto& l : links) {
-      bool present = l != nullptr;
+  static void io_hops(Ar& ar, std::vector<Network::Hop>& hops,
+                      std::size_t first, std::size_t count, std::size_t stride,
+                      const char* what) {
+    fixed_size(ar, count, what);
+    for (std::size_t k = 0; k < count; ++k) {
+      Network::Hop& hop = hops[first + k * stride];
+      bool present = hop.wired();
       const bool actual = present;
       ar.b(present);
       if constexpr (Ar::kLoading) {
@@ -385,7 +391,7 @@ struct StateCodec {
           throw SnapshotError(std::string("link presence mismatch in ") + what);
         }
       }
-      if (l != nullptr) io_link(ar, *l);
+      if (actual) io_link(ar, hop);
     }
   }
 
@@ -629,9 +635,12 @@ struct StateCodec {
     if constexpr (Ar::kLoading) reinstall_routing(net);
     fixed_size(ar, net.routers_.size(), "router count");
     for (auto& r : net.routers_) io_router(ar, *r);
-    io_link_array(ar, net.mesh_links_, "mesh links");
-    io_link_array(ar, net.inj_links_, "injection links");
-    io_link_array(ar, net.ej_links_, "ejection links");
+    // The mesh slots, then every injection hop, then every ejection hop.
+    const std::size_t mesh = net.routers_.size() * 4;
+    const std::size_t cores = net.nis_.size();
+    io_hops(ar, net.hops_, 0, mesh, 1, "mesh links");
+    io_hops(ar, net.hops_, mesh, cores, 2, "injection links");
+    io_hops(ar, net.hops_, mesh + 1, cores, 2, "ejection links");
     fixed_size(ar, net.nis_.size(), "NI count");
     for (auto& ni : net.nis_) io_ni(ar, *ni);
   }

@@ -8,14 +8,14 @@ namespace htnoc::mitigation {
 namespace {
 
 TEST(Bist, CleanLinkReportsNothing) {
-  Link l("l", 1);
+  Link l;
   const BistReport r = bist_scan(l);
   EXPECT_FALSE(r.permanent_fault_found);
   EXPECT_TRUE(r.stuck_wires.empty());
 }
 
 TEST(Bist, FindsStuckAtOne) {
-  Link l("l", 1);
+  Link l;
   l.attach_injector(std::make_shared<PermanentFaultInjector>(
       std::map<unsigned, bool>{{17, true}}));
   const BistReport r = bist_scan(l);
@@ -25,7 +25,7 @@ TEST(Bist, FindsStuckAtOne) {
 }
 
 TEST(Bist, FindsStuckAtZero) {
-  Link l("l", 1);
+  Link l;
   l.attach_injector(std::make_shared<PermanentFaultInjector>(
       std::map<unsigned, bool>{{64, false}}));
   const BistReport r = bist_scan(l);
@@ -34,7 +34,7 @@ TEST(Bist, FindsStuckAtZero) {
 }
 
 TEST(Bist, FindsMultipleStuckWires) {
-  Link l("l", 1);
+  Link l;
   l.attach_injector(std::make_shared<PermanentFaultInjector>(
       std::map<unsigned, bool>{{0, true}, {35, false}, {71, true}}));
   const BistReport r = bist_scan(l);
@@ -44,7 +44,7 @@ TEST(Bist, FindsMultipleStuckWires) {
 TEST(Bist, TrojanStaysInvisible) {
   // The paper's core detection dilemma: a kill-switch-guarded trojan never
   // answers logic testing, so BIST comes back clean on an infected link.
-  Link l("l", 1);
+  Link l;
   trojan::TaspParams p;
   p.kind = trojan::TargetKind::kDest;
   p.target_dest = 0;
@@ -56,7 +56,7 @@ TEST(Bist, TrojanStaysInvisible) {
 }
 
 TEST(Bist, TrojanPlusPermanentFaultStillLocatesTheWire) {
-  Link l("l", 1);
+  Link l;
   l.attach_injector(std::make_shared<PermanentFaultInjector>(
       std::map<unsigned, bool>{{9, true}}));
   trojan::TaspParams p;

@@ -140,7 +140,7 @@ TEST(FlitArena, GenerationWrapsModulo256) {
 class PoolInputTest : public ::testing::Test {
  protected:
   NocConfig cfg;
-  Link link{"l", 1};
+  Link link;
   InputUnit in{cfg, 3, 2};
   Cycle now = 0;
 
@@ -152,8 +152,10 @@ class PoolInputTest : public ::testing::Test {
     p.codeword = ecc::secded().encode(p.flit.wire);
     link.send(now, std::move(p));
     ++now;
-    in.process_arrivals(now);
-    (void)link.take_acks(now + 1);
+    in.drain_link(now);
+    in.process_staged(now);
+    std::vector<AckMsg> acks;
+    link.drain_acks(now + 1, acks);
   }
 };
 
@@ -187,7 +189,9 @@ TEST_F(PoolInputTest, PurgeStormExhaustsAndRegrowsArena) {
       EXPECT_FALSE(in.has_packet(static_cast<PacketId>(100 * round + pk)));
     }
     // Every purged flit returns its credit through the reverse channel.
-    (void)link.take_credits(now + 2);
+    std::vector<CreditMsg> credits;
+    link.drain_credits(now + 2, credits);
+    EXPECT_EQ(static_cast<int>(credits.size()), packets * len);
   }
 }
 

@@ -44,24 +44,38 @@ LinkPhit phit_of(const Flit& f, ObfuscationTag tag = {},
 class InputUnitTest : public ::testing::Test {
  protected:
   NocConfig cfg;
-  Link link{"l", 1};
+  Link link;
   InputUnit in{cfg, 3, 2};
 
   void SetUp() override { in.connect(&link); }
 
+  /// Send `p` and take it in next cycle, as a router does.
   void send(Cycle cycle, LinkPhit p) {
     link.send(cycle, std::move(p));
-    in.process_arrivals(cycle + 1);
+    in.drain_link(cycle + 1);
+    in.process_staged(cycle + 1);
+  }
+
+  /// The ACK/NACKs and credits the unit has returned by cycle `now`.
+  std::vector<AckMsg> acks(Cycle now) {
+    std::vector<AckMsg> out;
+    link.drain_acks(now, out);
+    return out;
+  }
+  std::vector<CreditMsg> credits(Cycle now) {
+    std::vector<CreditMsg> out;
+    link.drain_credits(now, out);
+    return out;
   }
 };
 
 TEST_F(InputUnitTest, CleanFlitBufferedAndAcked) {
   send(0, phit_of(make_flit(1, 0, 1, 0, 0xAB)));
   EXPECT_EQ(in.occupancy(), 1);
-  const auto acks = link.take_acks(2);
-  ASSERT_EQ(acks.size(), 1u);
-  EXPECT_TRUE(acks[0].ok);
-  EXPECT_EQ(acks[0].packet, 1u);
+  const auto got = acks(2);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_TRUE(got[0].ok);
+  EXPECT_EQ(got[0].packet, 1u);
 }
 
 TEST_F(InputUnitTest, CorruptFlitNackedNotBuffered) {
@@ -70,9 +84,9 @@ TEST_F(InputUnitTest, CorruptFlitNackedNotBuffered) {
   p.codeword.flip(40);
   send(0, std::move(p));
   EXPECT_EQ(in.occupancy(), 0);
-  const auto acks = link.take_acks(2);
-  ASSERT_EQ(acks.size(), 1u);
-  EXPECT_FALSE(acks[0].ok);
+  const auto got = acks(2);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_FALSE(got[0].ok);
   EXPECT_EQ(in.stats().nacks_sent, 1u);
 }
 
@@ -98,9 +112,9 @@ TEST_F(InputUnitTest, PopReturnsCreditAndRetiresStream) {
   EXPECT_EQ(f.packet, 1u);
   EXPECT_EQ(in.occupancy(), 0);
   EXPECT_TRUE(in.vcbuf(2).streams.empty());
-  const auto credits = link.take_credits(3);
-  ASSERT_EQ(credits.size(), 1u);
-  EXPECT_EQ(credits[0].vc, 2);
+  const auto got = credits(3);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].vc, 2);
 }
 
 TEST_F(InputUnitTest, OutOfOrderArrivalReordersBySeq) {
@@ -178,13 +192,13 @@ TEST_F(InputUnitTest, PurgeRemovesFlitsAndSendsCredits) {
   send(0, phit_of(make_flit(1, 0, 3, 0, 0x11)));
   send(1, phit_of(make_flit(1, 1, 3, 0, 0x12)));
   send(2, phit_of(make_flit(2, 0, 1, 1, 0x21)));
-  (void)link.take_credits(100);  // drain
+  (void)credits(100);  // drain
   const auto res = in.purge_packet(10, 1);
   EXPECT_EQ(res.flits_purged, 2);
   EXPECT_EQ(res.buffered_uids.size(), 2u);
   EXPECT_FALSE(in.has_packet(1));
   EXPECT_TRUE(in.has_packet(2));
-  EXPECT_EQ(link.take_credits(100).size(), 2u);
+  EXPECT_EQ(credits(100).size(), 2u);
 }
 
 TEST_F(InputUnitTest, PurgeFlagsDependentScrambledPackets) {
@@ -208,9 +222,9 @@ TEST_F(InputUnitTest, SilentCorruptionDetectedAgainstSideband) {
   p.codeword.flip(9);
   p.codeword.flip(30);
   send(0, std::move(p));
-  const auto acks = link.take_acks(2);
-  ASSERT_EQ(acks.size(), 1u);
-  if (acks[0].ok) {
+  const auto got = acks(2);
+  ASSERT_EQ(got.size(), 1u);
+  if (got[0].ok) {
     EXPECT_EQ(in.stats().silent_corruptions, 1u);
   } else {
     EXPECT_EQ(in.occupancy(), 0);

@@ -160,6 +160,37 @@ TEST(Invariants, HoldWithPerVcRetransmissionScheme) {
   EXPECT_TRUE(gen.done());
 }
 
+TEST(Invariants, CreditCheckNamesHopsInLinkOrder) {
+  // One stray credit on a reverse wire breaks its hop's sum. The check
+  // names the hop (mesh link, then each core's injection and ejection
+  // link) and reports the first broken hop in that order.
+  const std::string sum =
+      ": credits 4 + wire 1 + slots 0 + buffered 0 - overlap 0 != depth 4";
+  {
+    Network net(NocConfig{});
+    net.link(5, Direction::kNorth).send_credit(0, CreditMsg{1});
+    EXPECT_EQ(net.check_invariants(), "r5->N vc1" + sum);
+  }
+  {
+    Network net(NocConfig{});
+    net.ni(3).injection_port().link()->send_credit(0, CreditMsg{0});
+    EXPECT_EQ(net.check_invariants(), "inj.c3 vc0" + sum);
+  }
+  {
+    Network net(NocConfig{});
+    net.ni(3).ejection_port().link()->send_credit(0, CreditMsg{2});
+    EXPECT_EQ(net.check_invariants(), "ej.c3 vc2" + sum);
+  }
+  {
+    Network net(NocConfig{});
+    net.ni(5).injection_port().link()->send_credit(0, CreditMsg{0});
+    net.ni(3).ejection_port().link()->send_credit(0, CreditMsg{0});
+    EXPECT_EQ(net.check_invariants().substr(0, 9), "ej.c3 vc0");
+    net.link(15, Direction::kNorth).send_credit(0, CreditMsg{0});
+    EXPECT_EQ(net.check_invariants().substr(0, 10), "r15->N vc0");
+  }
+}
+
 TEST(Invariants, GoldenDeterminismLock) {
   // Two identical runs must agree cycle for cycle (bit-reproducibility is a
   // stated design requirement); lock a fingerprint so regressions surface.

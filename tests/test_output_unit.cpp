@@ -30,13 +30,26 @@ Flit make_flit(PacketId packet, int seq, int len, VcId vc,
 class OutputUnitTest : public ::testing::Test {
  protected:
   NocConfig cfg;
-  Link link{"l", 1};
+  Link link;
   OutputUnit out{cfg};
 
   void SetUp() override { out.connect(&link); }
 
+  /// The phits `l` delivers at cycle `now`.
+  static std::vector<LinkPhit> arrivals(Link& l, Cycle now) {
+    std::vector<LinkPhit> arr;
+    l.drain_arrivals(now, arr);
+    return arr;
+  }
+
+  /// Apply the credits and ACK/NACKs due at `now`, as a router does.
+  void control(Cycle now) {
+    out.drain_control(now);
+    out.process_staged_control(now);
+  }
+
   void deliver_and_ack(Cycle send_cycle, bool ok) {
-    const auto arr = link.take_arrivals(send_cycle + 1);
+    const auto arr = arrivals(link, send_cycle + 1);
     ASSERT_EQ(arr.size(), 1u);
     AckMsg a;
     a.packet = arr[0].flit.packet;
@@ -83,11 +96,11 @@ TEST_F(OutputUnitTest, LtSendsWhenEligibleAndAckClearsSlot) {
   out.allocate_vc(0);
   out.accept(0, make_flit(7, 0, 1, 0), 2);
   out.step_lt(1);  // not yet eligible
-  EXPECT_TRUE(link.take_arrivals(2).empty());
+  EXPECT_TRUE(arrivals(link, 2).empty());
   out.step_lt(2);            // LT at 2, arrival at 3
   deliver_and_ack(2, true);  // ACK sent at 3, delivered at 4
   EXPECT_EQ(out.occupancy(), 1);  // still in-flight awaiting ack
-  out.process_control(4);
+  control(4);
   EXPECT_EQ(out.occupancy(), 0);
   EXPECT_EQ(out.stats().transmissions, 1u);
   EXPECT_EQ(out.stats().acks, 1u);
@@ -98,11 +111,11 @@ TEST_F(OutputUnitTest, NackTriggersRetransmissionWithBumpedAttempt) {
   out.accept(0, make_flit(7, 0, 1, 0), 1);
   out.step_lt(1);             // LT at 1, arrival at 2
   deliver_and_ack(1, false);  // NACK sent at 2, delivered at 3
-  out.process_control(3);
+  control(3);
   EXPECT_EQ(out.stats().nacks, 1u);
   EXPECT_EQ(out.occupancy(), 1);
   out.step_lt(4);  // eligible again at nack_cycle + 1
-  const auto arr = link.take_arrivals(5);
+  const auto arr = arrivals(link, 5);
   ASSERT_EQ(arr.size(), 1u);
   EXPECT_EQ(arr[0].attempt, 1);
   EXPECT_EQ(out.stats().retransmissions, 1u);
@@ -113,13 +126,14 @@ TEST_F(OutputUnitTest, CreditReturnsRaiseCounter) {
   out.accept(0, make_flit(1, 0, 1, 2), 2);
   EXPECT_EQ(out.credits(2), cfg.buffer_depth - 1);
   link.send_credit(5, CreditMsg{2});
-  out.process_control(6);
+  control(6);
   EXPECT_EQ(out.credits(2), cfg.buffer_depth);
 }
 
 TEST_F(OutputUnitTest, CreditOverflowIsInvariantViolation) {
   link.send_credit(0, CreditMsg{0});
-  EXPECT_THROW(out.process_control(1), ContractViolation);
+  out.drain_control(1);
+  EXPECT_THROW(out.process_staged_control(1), ContractViolation);
 }
 
 TEST_F(OutputUnitTest, OldestEligibleSlotSendsFirst) {
@@ -127,7 +141,7 @@ TEST_F(OutputUnitTest, OldestEligibleSlotSendsFirst) {
   out.accept(0, make_flit(1, 0, 4, 0), 2);
   out.accept(1, make_flit(1, 1, 4, 0), 2);
   out.step_lt(2);
-  const auto arr = link.take_arrivals(3);
+  const auto arr = arrivals(link, 3);
   ASSERT_EQ(arr.size(), 1u);
   EXPECT_EQ(arr[0].flit.seq, 0);
 }
@@ -138,7 +152,7 @@ TEST_F(OutputUnitTest, UnmatchedAckIsIgnoredAfterPurge) {
   out.step_lt(1);
   (void)out.purge_packet(7, {});
   deliver_and_ack(1, true);
-  EXPECT_NO_THROW(out.process_control(2));
+  EXPECT_NO_THROW(control(2));
   EXPECT_EQ(out.occupancy(), 0);
 }
 
@@ -173,7 +187,7 @@ TEST_F(OutputUnitTest, BlockedDetectsStuckRetransmission) {
 TEST_F(OutputUnitTest, TdmHoldsFlitsOutsideTheirSlot) {
   NocConfig tdm_cfg;
   tdm_cfg.tdm_enabled = true;
-  Link l2("l2", 1);
+  Link l2;
   OutputUnit o2(tdm_cfg);
   o2.connect(&l2);
   o2.allocate_vc(0);
@@ -181,9 +195,9 @@ TEST_F(OutputUnitTest, TdmHoldsFlitsOutsideTheirSlot) {
   f.domain = TdmDomain::kD2;  // odd cycles only
   o2.accept(0, std::move(f), 0);
   o2.step_lt(2);  // even: D1 slot
-  EXPECT_TRUE(l2.take_arrivals(3).empty());
+  EXPECT_TRUE(arrivals(l2, 3).empty());
   o2.step_lt(3);  // odd: D2 slot
-  EXPECT_EQ(l2.take_arrivals(4).size(), 1u);
+  EXPECT_EQ(arrivals(l2, 4).size(), 1u);
 }
 
 TEST_F(OutputUnitTest, PacketsInSlotsListsDistinctIds) {

@@ -55,7 +55,7 @@ class AlwaysReorder final : public LObController {
 
 TEST(Reorder, LaterFlitOvertakesHeldFlit) {
   NocConfig cfg;
-  Link link("l", 1);
+  Link link;
   OutputUnit out(cfg);
   out.connect(&link);
   AlwaysReorder lob;
@@ -66,15 +66,18 @@ TEST(Reorder, LaterFlitOvertakesHeldFlit) {
   out.accept(0, make_flit(1, 0, 1, 0), 1);  // victim: reorder-held
   out.accept(0, make_flit(2, 0, 1, 1), 1);  // bystander
   out.step_lt(1);  // victim chosen, held for kReorderHold cycles
-  EXPECT_TRUE(link.take_arrivals(2).empty());
+  std::vector<LinkPhit> arr;
+  link.drain_arrivals(2, arr);
+  EXPECT_TRUE(arr.empty());
   EXPECT_EQ(out.stats().reorder_holds, 1u);
   out.step_lt(2);  // bystander goes first
-  auto arr = link.take_arrivals(3);
+  link.drain_arrivals(3, arr);
   ASSERT_EQ(arr.size(), 1u);
   EXPECT_EQ(arr[0].flit.packet, 2u);
   // Victim transmits after the hold expires, plain.
   out.step_lt(1 + OutputUnit::kReorderHold);
-  arr = link.take_arrivals(2 + OutputUnit::kReorderHold);
+  arr.clear();
+  link.drain_arrivals(2 + OutputUnit::kReorderHold, arr);
   ASSERT_EQ(arr.size(), 1u);
   EXPECT_EQ(arr[0].flit.packet, 1u);
   EXPECT_FALSE(arr[0].obf.active());

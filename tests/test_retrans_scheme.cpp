@@ -33,7 +33,7 @@ TEST(RetransScheme, PerVcCapacityIsPerVc) {
   NocConfig cfg;
   cfg.retrans_scheme = RetransmissionScheme::kPerVcBuffer;
   cfg.retrans_per_vc_depth = 2;
-  Link link("l", 1);
+  Link link;
   OutputUnit out(cfg);
   out.connect(&link);
   EXPECT_EQ(out.total_capacity(), 2 * cfg.vcs_per_port);
@@ -51,7 +51,7 @@ TEST(RetransScheme, PerVcCapacityIsPerVc) {
 
 TEST(RetransScheme, OutputPoolSharedAcrossVcs) {
   NocConfig cfg;  // default kOutputBuffer, depth 4
-  Link link("l", 1);
+  Link link;
   OutputUnit out(cfg);
   out.connect(&link);
   out.allocate_vc(0);
@@ -66,7 +66,7 @@ TEST(RetransScheme, AcceptBeyondPerVcQuotaIsContractViolation) {
   NocConfig cfg;
   cfg.retrans_scheme = RetransmissionScheme::kPerVcBuffer;
   cfg.retrans_per_vc_depth = 1;
-  Link link("l", 1);
+  Link link;
   OutputUnit out(cfg);
   out.connect(&link);
   out.allocate_vc(2);
@@ -130,7 +130,7 @@ TEST(RetransScheme, PerVcKeepsReplySlotsFreeAtAttackedPort) {
                             RetransmissionScheme::kPerVcBuffer}) {
     NocConfig cfg;
     cfg.retrans_scheme = scheme;
-    Link link("l", 1);
+    Link link;
     link.set_disabled(true);  // nothing ever leaves: emulate a full wedge
     OutputUnit out(cfg);
     out.connect(&link);

@@ -184,6 +184,32 @@ TEST(SnapshotRoundtrip, BlobBytesArePinned) {
   EXPECT_EQ(fnv1a(blob.data(), blob.size()), 0x83A2F5B9D8C9CA28ull);
 }
 
+TEST(SnapshotRoundtrip, InjectorMismatchNamesTheHop) {
+  // The target attaches a transient injector to every mesh link before
+  // its trojan, so on link (4, N) the blob's first injector (the TASP)
+  // meets the target's transient one. The error names the hop the way the
+  // credit check does.
+  sim::SimConfig cfg;
+  sim::AttackSpec atk;
+  atk.link = {4, Direction::kNorth};
+  cfg.attacks.push_back(atk);
+  Rig a(cfg);
+  a.step(20);
+  const auto blob = a.save();
+
+  sim::SimConfig noisy = cfg;
+  noisy.transient_phit_fault_prob = 1e-4;
+  Rig b(noisy);
+  try {
+    b.load(blob);
+    FAIL() << "load accepted a mismatched injector";
+  } catch (const SnapshotError& e) {
+    EXPECT_STREQ(e.what(),
+                 "fault injector mismatch on link 'r4->N': blob has 'tasp', "
+                 "target has 'transient'");
+  }
+}
+
 TEST(SnapshotRoundtrip, CorruptPayloadRejected) {
   Rig a(attacked_config(1));
   a.step(120);

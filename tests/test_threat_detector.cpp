@@ -39,7 +39,7 @@ TEST(ThreatDetector, RepeatFaultEscalatesAndDispatchesBist) {
 }
 
 TEST(ThreatDetector, CleanBistPlusRepeatsClassifiesTrojan) {
-  Link link("l", 1);  // no permanent faults attached
+  Link link;  // no permanent faults attached
   ThreatDetectorParams params;
   params.bist_latency = 4;
   RouterThreatDetector det(params);
@@ -56,7 +56,7 @@ TEST(ThreatDetector, CleanBistPlusRepeatsClassifiesTrojan) {
 }
 
 TEST(ThreatDetector, StuckWireClassifiesPermanent) {
-  Link link("l", 1);
+  Link link;
   link.attach_injector(std::make_shared<PermanentFaultInjector>(
       std::map<unsigned, bool>{{5, true}}));
   ThreatDetectorParams params;
@@ -71,7 +71,7 @@ TEST(ThreatDetector, StuckWireClassifiesPermanent) {
 }
 
 TEST(ThreatDetector, ClassificationCallbackFiresOnce) {
-  Link link("l", 1);
+  Link link;
   ThreatDetectorParams params;
   params.bist_latency = 2;
   RouterThreatDetector det(params);
@@ -140,7 +140,7 @@ TEST(ThreatDetector, SyndromeReuseFlagsSmallPayloadTrojans) {
   // attention. A trojan with a tiny payload counter strikes one distinct
   // flit at a time (no per-flit repetition!) but reuses wire pairs; the
   // syndrome-frequency sketch catches it.
-  Link link("l", 1);  // clean: BIST will find nothing
+  Link link;  // clean: BIST will find nothing
   ThreatDetectorParams params;
   params.bist_latency = 2;
   params.escalate_after = 2;
@@ -157,7 +157,7 @@ TEST(ThreatDetector, SyndromeReuseFlagsSmallPayloadTrojans) {
 }
 
 TEST(ThreatDetector, VariedSyndromesDoNotTripTheReuseHeuristic) {
-  Link link("l", 1);
+  Link link;
   ThreatDetectorParams params;
   params.bist_latency = 2;
   RouterThreatDetector det(params);
