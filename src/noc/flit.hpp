@@ -61,6 +61,10 @@ struct Flit {
 
   /// Globally unique identity of this flit (packet, seq).
   [[nodiscard]] std::uint64_t flit_uid() const noexcept {
+    return uid_of(packet, seq);
+  }
+  [[nodiscard]] static constexpr std::uint64_t uid_of(PacketId packet,
+                                                      int seq) noexcept {
     return (packet << 8) ^ static_cast<std::uint64_t>(seq & 0xFF);
   }
 };

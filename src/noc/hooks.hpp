@@ -69,8 +69,9 @@ class LObController {
   virtual void on_nack(Cycle now, const Flit& flit, const ObfuscationTag& tag) = 0;
 };
 
-/// Where a resident flit was found during an audit census walk over the
-/// whole fabric (see Network::collect_resident).
+/// Where a resident flit was found by the audit census, the walk over the
+/// whole fabric that names the site of a violation (see
+/// Network::collect_resident; a clean audit runs Network::audit_walk).
 enum class FlitSite : std::uint8_t {
   kInputBuffer,      ///< Router/NI input VC buffer.
   kScrambleStation,  ///< Held awaiting its scramble partner.
@@ -105,9 +106,10 @@ struct ResidentFlit {
 
 /// Exactly-once flit accounting hooks. The network and its NIs notify the
 /// observer of every event that changes a flit's lifecycle state; the
-/// census walk (Network::collect_resident) provides the other half of the
-/// ledger. Implemented by verify::NetworkInvariantAuditor; the substrate
-/// only pays a null-pointer check when no auditor is installed.
+/// audit walk (Network::audit_walk) provides the other half of the ledger,
+/// and the census (Network::collect_resident) reports what it finds wrong.
+/// Implemented by verify::NetworkInvariantAuditor; the substrate only pays
+/// a null-pointer check when no auditor is installed.
 class FlitAuditObserver {
  public:
   virtual ~FlitAuditObserver() = default;

@@ -72,7 +72,7 @@ class InputUnit {
 
   struct VcBuf {
     pool::Ring<PacketStream> streams;
-    int occupancy = 0;  ///< Buffered flits, including scramble-station holds.
+    int occupancy = 0;  ///< Flits in the streams (station holds apart).
   };
 
   struct Stats {
@@ -184,56 +184,39 @@ class InputUnit {
   /// channel.
   [[nodiscard]] PurgeResult purge_packet(Cycle now, PacketId p);
 
-  /// Buffered flits charged against VC `vc`'s credits (streams + scramble
-  /// station holds).
-  [[nodiscard]] int count_buffered(int vc) const {
-    int n = vcs_[static_cast<std::size_t>(vc)].occupancy;
-    for (const auto& e : station_) {
-      if (e.phit.flit.vc == vc) ++n;
-    }
-    return n;
-  }
-
-  [[nodiscard]] bool has_buffered_uid(std::uint64_t uid) const {
-    for (const auto& v : vcs_) {
-      for (const auto& s : v.streams) {
-        for (pool::FlitHandle h = s.head; !h.null(); h = arena_.next(h)) {
-          if (arena_.flit(h).flit_uid() == uid) return true;
-        }
-      }
-    }
-    for (const auto& e : station_) {
-      if (e.phit.flit.flit_uid() == uid) return true;
-    }
-    return false;
-  }
-
-  /// Audit census: append every buffered flit (VC streams + scramble
-  /// station), labelled with the caller-supplied identity. Iteration order
-  /// — VCs ascending, streams FIFO, flits seq-ascending — matches the
-  /// snapshot walk and the pre-pool deque layout.
+  /// Audit walk: call `fn(flit, stationed)` for every buffered flit — the
+  /// VC streams' flits (VCs ascending, streams FIFO, flits seq-ascending,
+  /// the order of the snapshot walk) and then the scramble station's holds
+  /// (`stationed` true).
   ///
   /// Only the VCs in busy_vcs() are walked; the others hold no stream. The
-  /// census trusts the mask exactly as RC, VA and SA do: a mask that
-  /// wrongly cleared a busy VC would strand its flits (those stages skip
-  /// the VC) and hide them here, so the auditor's ledger would report them
-  /// as lost.
-  void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
-                        std::int8_t port) const {
+  /// walk trusts the mask exactly as RC, VA and SA do: a mask that wrongly
+  /// cleared a busy VC would strand its flits (those stages skip the VC)
+  /// and hide them here, so the auditor's ledger would report them as
+  /// lost.
+  template <class Fn>
+  void for_each_buffered(Fn&& fn) const {
     for (std::uint32_t m = busy_vcs_; m != 0; m &= m - 1) {
       const VcBuf& v = vcs_[static_cast<std::size_t>(std::countr_zero(m))];
       for (const auto& s : v.streams) {
         for (pool::FlitHandle h = s.head; !h.null(); h = arena_.next(h)) {
-          const Flit& f = arena_.flit(h);
-          out.push_back(
-              {f.flit_uid(), f.packet, FlitSite::kInputBuffer, node, port});
+          fn(arena_.flit(h), false);
         }
       }
     }
-    for (const auto& e : station_) {
-      out.push_back({e.phit.flit.flit_uid(), e.phit.flit.packet,
-                     FlitSite::kScrambleStation, node, port});
-    }
+    for (const auto& e : station_) fn(e.phit.flit, true);
+  }
+
+  /// Audit census: append every buffered flit (see for_each_buffered),
+  /// labelled with the caller-supplied identity.
+  void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
+                        std::int8_t port) const {
+    for_each_buffered([&](const Flit& f, bool stationed) {
+      out.push_back({f.flit_uid(), f.packet,
+                     stationed ? FlitSite::kScrambleStation
+                               : FlitSite::kInputBuffer,
+                     node, port});
+    });
   }
 
   [[nodiscard]] bool has_packet(PacketId p) const {

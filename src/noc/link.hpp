@@ -136,14 +136,11 @@ class Link {
     ++*control_count_;
   }
 
-  /// Credits currently travelling the reverse channel for `vc` (invariant
-  /// checking).
-  [[nodiscard]] int pending_credit_count(VcId vc) const {
-    int n = 0;
-    for (const auto& c : credits_) {
-      if (c.msg.vc == vc) ++n;
-    }
-    return n;
+  /// Audit walk: call `fn(vc)` for every credit travelling the reverse
+  /// channel.
+  template <class Fn>
+  void for_each_pending_credit(Fn&& fn) const {
+    for (const auto& c : credits_) fn(c.msg.vc);
   }
 
   /// Pop the credits and ACK/NACKs due at cycle `now`, appending to `out`
@@ -202,15 +199,20 @@ class Link {
     return false;
   }
 
+  /// Audit walk: call `fn(flit)` for every in-flight forward phit's flit.
+  template <class Fn>
+  void for_each_phit(Fn&& fn) const {
+    for (const auto& f : in_flight_) fn(f.phit.flit);
+  }
+
   /// Audit census: append every in-flight forward phit, labelled with the
   /// caller-supplied identity (tracing may be off, so the trace identity
   /// cannot be relied on here).
   void collect_resident(std::vector<ResidentFlit>& out, std::uint16_t node,
                         std::int8_t port) const {
-    for (const auto& f : in_flight_) {
-      out.push_back({f.phit.flit.flit_uid(), f.phit.flit.packet,
-                     FlitSite::kLinkPhit, node, port});
-    }
+    for_each_phit([&](const Flit& f) {
+      out.push_back({f.flit_uid(), f.packet, FlitSite::kLinkPhit, node, port});
+    });
   }
 
   void set_disabled(bool d) noexcept { disabled_ = d; }

@@ -467,54 +467,21 @@ bool Network::packet_in_flight(PacketId p) const {
   return false;
 }
 
-namespace {
-
-/// One hop's credit-conservation check (see Network::check_invariants).
-/// `where()` names the hop; it runs only when the hop fails, so a clean
-/// check builds no string.
-template <class Where>
-std::string check_hop(const OutputUnit& out, const Link& link,
-                      const InputUnit& in, int vcs, int depth, Where where) {
-  // An idle hop (no retransmission slot, nothing on the reverse channel,
-  // nothing buffered at the receiver) holds each VC's whole budget in its
-  // credit counter. Any other hop, or an idle one that fails, takes the
-  // per-VC sum below.
-  if (out.occupancy() == 0 && link.control_queued() == 0 &&
-      in.occupancy() == 0) {
-    bool full = true;
-    for (int vc = 0; vc < vcs && full; ++vc) full = out.credits(vc) == depth;
-    if (full) return {};
-  }
-  for (int vc = 0; vc < vcs; ++vc) {
-    const int credits = out.credits(vc);
-    const int wire_credits = link.pending_credit_count(static_cast<VcId>(vc));
-    const int slots = out.slots_with_vc(vc);
-    const int buffered = in.count_buffered(vc);
-    int overlap = 0;
-    out.for_each_inflight_uid(vc, [&](std::uint64_t uid) {
-      if (in.has_buffered_uid(uid)) ++overlap;
-    });
-    const int total = credits + wire_credits + slots + buffered - overlap;
-    if (total != depth) {
-      return where() + " vc" + std::to_string(vc) + ": credits " +
-             std::to_string(credits) + " + wire " +
-             std::to_string(wire_credits) + " + slots " +
-             std::to_string(slots) + " + buffered " +
-             std::to_string(buffered) + " - overlap " +
-             std::to_string(overlap) + " != depth " + std::to_string(depth);
-    }
-  }
-  return {};
-}
-
-}  // namespace
-
 std::string Network::check_invariants() const {
+  CreditTally t;
   for (const Hop& h : hops_) {
     if (!h.wired()) continue;
-    std::string err = check_hop(*h.out, h.link, *h.in, cfg_.vcs_per_port,
-                                cfg_.buffer_depth, [&h] { return h.name(); });
-    if (!err.empty()) return err;
+    const int vc = tally_hop(h, t, [](std::uint64_t) {});
+    if (vc < 0) continue;
+    const CreditTally::Terms& x = t.vc[static_cast<std::size_t>(vc)];
+    const int credits = h.out->credits(vc);
+    const int buffered = h.in->vcbuf(vc).occupancy + x.stationed;
+    return h.name() + " vc" + std::to_string(vc) + ": credits " +
+           std::to_string(credits) + " + wire " + std::to_string(x.wire) +
+           " + slots " + std::to_string(x.slots) + " + buffered " +
+           std::to_string(buffered) + " - overlap " +
+           std::to_string(x.overlap) + " != depth " +
+           std::to_string(cfg_.buffer_depth);
   }
   return {};
 }

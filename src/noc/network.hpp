@@ -6,6 +6,7 @@
 // fabric-agnostic.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -150,8 +151,34 @@ class Network {
   /// Audit census: append every flit currently resident anywhere in the
   /// fabric — router input buffers and scramble stations, retransmission
   /// slots, link phits, NI source queues and ejection buffers. A flit may
-  /// appear at several sites (see ResidentFlit).
+  /// appear at several sites (see ResidentFlit). The auditor's reporting
+  /// path: a clean audit stamps the same flits through audit_walk.
   void collect_resident(std::vector<ResidentFlit>& out) const;
+
+  /// Reusable scratch of the credit tally (see audit_walk): one hop's
+  /// credit terms per VC and its receiver's buffered uids. The caller owns
+  /// it, so a walk allocates nothing once the buffers have grown.
+  struct CreditTally {
+    struct Terms {
+      int wire = 0;       ///< Credits on the reverse wire.
+      int slots = 0;      ///< Retransmission slots.
+      int stationed = 0;  ///< Scramble-station holds at the receiver.
+      int overlap = 0;    ///< In-flight slots the receiver also buffers.
+    };
+    std::vector<Terms> vc;
+    std::vector<std::uint64_t> receiver_uids;
+  };
+
+  /// The audit walk: one pass over the hop table that hands `v` the uid of
+  /// every entry collect_resident lists, as v.flit(uid), and every router
+  /// input unit, as v.router_input(in), once each, and tallies every wired
+  /// hop's credit terms on the way. Returns true exactly when
+  /// check_invariants() returns empty. Each unit belongs to one hop: a
+  /// hop's output, link and input, an injection hop's NI source queues,
+  /// and at the fabric edge, a mesh slot with no neighbour holds its
+  /// router's output and input toward the edge.
+  template <class Visitor>
+  bool audit_walk(Visitor& v, CreditTally& tally) const;
 
   /// Install (or clear, with nullptr) the trace sink: distributes an
   /// identity-stamped tap to every link, router unit and NI, and enables
@@ -163,7 +190,8 @@ class Network {
   /// on the reverse wire plus occupied resources (retransmission slots and
   /// receiver buffers, with ACK-in-flight overlap removed). Returns an
   /// empty string when consistent, else a description of the first
-  /// violation. Intended for tests and debug assertions.
+  /// violation in hop-table order. Built on audit_walk's tally; the auditor
+  /// calls it for the text once its walk finds a hop that does not balance.
   [[nodiscard]] std::string check_invariants() const;
   [[nodiscard]] const std::set<LinkRef>& disabled_links() const noexcept {
     return disabled_;
@@ -234,6 +262,14 @@ class Network {
     [[nodiscard]] std::string name() const;
   };
 
+  /// One wired hop of the audit walk: hands `on_flit(uid)` every flit in
+  /// the receiver's buffers and the sender's slots, and tallies the hop's
+  /// credit terms into `t`, reading the reverse-wire credits, the slots
+  /// and the receiver's buffers once each. Returns -1 when every VC
+  /// balances, else the first VC that does not (its terms are in `t`).
+  template <class OnFlit>
+  int tally_hop(const Hop& h, CreditTally& t, OnFlit&& on_flit) const;
+
   /// Effective parallel-step shard count: cfg.step_threads clamped to the
   /// router count (and >= 1).
   [[nodiscard]] int step_shards() const noexcept;
@@ -287,5 +323,82 @@ class Network {
   std::vector<std::vector<trace::Event>> shard_router_events_;
   std::vector<std::vector<trace::Event>> shard_ni_events_;
 };
+
+template <class OnFlit>
+int Network::tally_hop(const Hop& h, CreditTally& t, OnFlit&& on_flit) const {
+  const OutputUnit& out = *h.out;
+  const InputUnit& in = *h.in;
+  const int vcs = cfg_.vcs_per_port;
+  const int depth = cfg_.buffer_depth;
+  // An idle hop (no retransmission slot, nothing on the reverse channel,
+  // nothing buffered at the receiver) holds each VC's whole budget in its
+  // credit counter. Any other hop, or an idle one that fails, takes the
+  // tally below.
+  if (out.occupancy() == 0 && h.link.control_queued() == 0 &&
+      in.occupancy() == 0) {
+    bool full = true;
+    for (int vc = 0; vc < vcs && full; ++vc) full = out.credits(vc) == depth;
+    if (full) {
+      in.for_each_buffered([&](const Flit& f, bool) { on_flit(f.flit_uid()); });
+      return -1;
+    }
+  }
+  t.vc.assign(static_cast<std::size_t>(vcs), {});
+  t.receiver_uids.clear();
+  in.for_each_buffered([&](const Flit& f, bool stationed) {
+    const std::uint64_t uid = f.flit_uid();
+    on_flit(uid);
+    t.receiver_uids.push_back(uid);
+    if (stationed) ++t.vc[f.vc].stationed;
+  });
+  // A sent slot whose flit the receiver already buffers (its ACK is on
+  // the way back) holds one credit twice; count it once.
+  out.for_each_slot([&](std::uint64_t uid, VcId vc, bool in_flight) {
+    on_flit(uid);
+    ++t.vc[vc].slots;
+    if (in_flight && std::find(t.receiver_uids.begin(), t.receiver_uids.end(),
+                               uid) != t.receiver_uids.end()) {
+      ++t.vc[vc].overlap;
+    }
+  });
+  h.link.for_each_pending_credit([&](VcId vc) { ++t.vc[vc].wire; });
+  for (int vc = 0; vc < vcs; ++vc) {
+    const CreditTally::Terms& x = t.vc[static_cast<std::size_t>(vc)];
+    if (out.credits(vc) + x.wire + x.slots + in.vcbuf(vc).occupancy +
+            x.stationed - x.overlap !=
+        depth) {
+      return vc;
+    }
+  }
+  return -1;
+}
+
+template <class Visitor>
+bool Network::audit_walk(Visitor& v, CreditTally& tally) const {
+  const auto flit = [&v](const Flit& f) { v.flit(f.flit_uid()); };
+  const auto uid = [&v](std::uint64_t u) { v.flit(u); };
+  const std::size_t mesh = routers_.size() * 4;
+  bool balanced = true;
+  for (std::size_t i = 0; i < hops_.size(); ++i) {
+    const Hop& h = hops_[i];
+    h.link.for_each_phit(flit);
+    if (!h.wired()) {
+      // Mesh slot `i` is router i / 4's direction port i % 4 (link_index).
+      const Router& rt = *routers_[i / 4];
+      const int port = static_cast<int>(i % 4);
+      rt.output(port).for_each_slot(
+          [&v](std::uint64_t u, VcId, bool) { v.flit(u); });
+      rt.input(port).for_each_buffered(
+          [&v](const Flit& f, bool) { v.flit(f.flit_uid()); });
+      v.router_input(rt.input(port));
+      continue;
+    }
+    const bool injection = h.port == trace::kLinkPortInjection;
+    if (injection) nis_[h.node]->for_each_queued(flit);
+    if (tally_hop(h, tally, uid) >= 0) balanced = false;
+    if (i < mesh || injection) v.router_input(*h.in);
+  }
+  return balanced;
+}
 
 }  // namespace htnoc

@@ -125,16 +125,22 @@ class NetworkInterface {
     in_.set_trace(tap, trace::Scope::kCore, core_);
   }
 
-  /// Audit census: append every flit waiting in the source queues. The
-  /// injection-port OutputUnit and ejection-port InputUnit are walked
-  /// separately by the network.
-  void collect_source_resident(std::vector<ResidentFlit>& out) const {
+  /// Audit walk: call `fn(flit)` for every flit waiting in the source
+  /// queues. The injection-port OutputUnit and ejection-port InputUnit are
+  /// walked separately by the network.
+  template <class Fn>
+  void for_each_queued(Fn&& fn) const {
     for (const auto& s : streams_) {
-      for (const Flit& f : s.queue) {
-        out.push_back({f.flit_uid(), f.packet, FlitSite::kNiSourceQueue,
-                       core_, -1});
-      }
+      for (const Flit& f : s.queue) fn(f);
     }
+  }
+
+  /// Audit census: append every flit waiting in the source queues.
+  void collect_source_resident(std::vector<ResidentFlit>& out) const {
+    for_each_queued([&](const Flit& f) {
+      out.push_back(
+          {f.flit_uid(), f.packet, FlitSite::kNiSourceQueue, core_, -1});
+    });
   }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -191,25 +191,13 @@ class OutputUnit {
     return false;
   }
 
-  /// Slots currently holding flits bound for downstream VC `vc`.
-  [[nodiscard]] int slots_with_vc(int vc) const {
-    int n = 0;
-    for (const SlotMeta& m : meta_) {
-      if (m.vc == vc) ++n;
-    }
-    return n;
-  }
-
-  /// Call `fn(uid)` for the flit uid of every in-flight (sent,
-  /// unacknowledged) slot on VC `vc` — used by the credit-conservation
-  /// checker to find flits that are simultaneously here and buffered at the
-  /// receiver (ACK in flight). Allocates nothing.
+  /// Audit walk: call `fn(uid, vc, in_flight)` for every retransmission
+  /// slot, oldest first: its flit's uid, its downstream VC, and whether it
+  /// was sent and awaits its ACK. Reads only the metadata lane.
   template <class Fn>
-  void for_each_inflight_uid(int vc, Fn&& fn) const {
-    for (std::size_t i = 0; i < meta_.size(); ++i) {
-      if (meta_[i].state == SlotState::kInFlight && meta_[i].vc == vc) {
-        fn(payload_[i].flit.flit_uid());
-      }
+  void for_each_slot(Fn&& fn) const {
+    for (const SlotMeta& m : meta_) {
+      fn(Flit::uid_of(m.packet, m.seq), m.vc, m.state == SlotState::kInFlight);
     }
   }
 

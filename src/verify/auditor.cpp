@@ -38,21 +38,34 @@ constexpr std::size_t kMaxViolations = 16;
 /// installed).
 constexpr std::size_t kTraceContext = 8;
 
-std::uint64_t uid_of(PacketId p, int seq) noexcept {
-  return (static_cast<std::uint64_t>(p) << 8) ^
-         static_cast<std::uint64_t>(seq & 0xFF);
-}
-
-/// The saturation report the starvation watch defers to: any output of the
-/// router blocked (see OutputUnit::blocked).
-bool any_output_blocked(const Router& router, int ports, Cycle now) {
-  for (int p = 0; p < ports; ++p) {
-    if (router.output(p).blocked(now)) return true;
-  }
-  return false;
-}
-
 }  // namespace
+
+/// The audit's visitor: stamps every flit the walk hands it with this
+/// audit's number and runs each router input's head-of-line watch. A flit
+/// without a ledger entry, of a purged packet, or delivered longer than
+/// the ACK grace ago is an anomaly the census reports after the walk.
+struct NetworkInvariantAuditor::Walk {
+  NetworkInvariantAuditor& aud;
+  Cycle now;
+  std::uint64_t stamp;
+  std::size_t ports;
+  std::size_t vcs;
+  bool stamped_all = true;
+
+  void flit(std::uint64_t uid) {
+    LedgerEntry* const e = aud.ledger_.find(uid);
+    if (e == nullptr || e->state == LedgerEntry::State::kPurged ||
+        (e->state == LedgerEntry::State::kDelivered &&
+         now > e->since + kAckGrace)) {
+      stamped_all = false;
+      return;
+    }
+    e->seen = stamp;
+  }
+  void router_input(const InputUnit& in) {
+    aud.watch_input(in, now, ports, vcs);
+  }
+};
 
 // --- Ledger ---
 
@@ -143,7 +156,7 @@ std::string Violation::to_string() const {
 void NetworkInvariantAuditor::on_packet_injected(Cycle now,
                                                  const PacketInfo& info) {
   for (int seq = 0; seq < info.length; ++seq) {
-    const LedgerEntry fresh{uid_of(info.id, seq), info.id,
+    const LedgerEntry fresh{Flit::uid_of(info.id, seq), info.id,
                             LedgerEntry::State::kResident, now};
     auto [e, inserted] = ledger_.try_emplace(fresh);
     if (!inserted) {
@@ -213,53 +226,61 @@ void NetworkInvariantAuditor::on_cycle_end() {
 }
 
 void NetworkInvariantAuditor::audit(Cycle now) {
-  check_census(now);
-  const std::string credit = net_.check_invariants();
-  if (!credit.empty()) {
+  const auto routers = static_cast<std::size_t>(net_.geometry().num_routers());
+  const auto ports = static_cast<std::size_t>(net_.router(0).num_ports());
+  const auto vcs = static_cast<std::size_t>(net_.config().vcs_per_port);
+  hol_.resize(routers * ports * vcs);
+  watched_.resize(routers * ports);
+  blocked_.assign(routers, -1);
+  starved_.clear();
+
+  Walk walk{*this, now, audits_run_, ports, vcs};
+  const bool balanced = net_.audit_walk(walk, tally_);
+
+  // Report in the order of the former separate checks: census, credit
+  // conservation, then starvation in (router, port, vc) order.
+  finish_census(now, walk.stamped_all);
+  if (!balanced) {
+    const std::string credit = net_.check_invariants();
     record(now, ViolationKind::kCreditConservation,
            fnv1a(credit.data(), credit.size(), kDetailKeySeed),
            kInvalidPacket, credit);
   }
-  check_starvation(now);
+  std::sort(starved_.begin(), starved_.end(),
+            [](const Starved& a, const Starved& b) { return a.key < b.key; });
+  for (Starved& s : starved_) {
+    record(now, ViolationKind::kSilentStarvation, s.key, s.packet,
+           std::move(s.detail));
+  }
 }
 
-void NetworkInvariantAuditor::check_census(Cycle now) {
-  census_.clear();
-  net_.collect_resident(census_);
-
-  // Every census flit stamps its ledger entry with this audit's number. A
-  // flit without an entry, of a purged packet, or delivered longer than
-  // the ACK grace ago is a violation.
-  const std::uint64_t stamp = audits_run_;
-  for (const ResidentFlit& r : census_) {
-    LedgerEntry* const e = ledger_.find(r.uid);
-    if (e == nullptr || e->state == LedgerEntry::State::kPurged ||
-        (e->state == LedgerEntry::State::kDelivered &&
-         now > e->since + kAckGrace)) {
-      reconcile_sorted(now);
-      return;
-    }
-    e->seen = stamp;
-  }
+void NetworkInvariantAuditor::finish_census(Cycle now, bool stamped_all) {
   // One sweep over the ledger: an unstamped entry is absent from the
-  // census. Resident means lost (a violation); retired past the grace
+  // fabric. Resident means lost (a violation); retired past the grace
   // means fully gone, so it is garbage-collected — the same entries the
   // merge erases without a report, so erasing some before a later loss
   // sends the audit to the merge changes nothing it reports.
-  std::vector<LedgerEntry>& entries = ledger_.entries();
-  for (std::size_t i = 0; i < entries.size();) {
-    const LedgerEntry& e = entries[i];
-    if (e.seen == stamp) {
-      ++i;
-    } else if (e.state == LedgerEntry::State::kResident) {
-      reconcile_sorted(now);
-      return;
-    } else if (now > e.since + kAckGrace) {
-      ledger_.erase_at(i);  // the last entry moves to i; visit it next
-    } else {
-      ++i;
+  if (stamped_all) {
+    const std::uint64_t stamp = audits_run_;
+    std::vector<LedgerEntry>& entries = ledger_.entries();
+    bool lost = false;
+    for (std::size_t i = 0; i < entries.size() && !lost;) {
+      const LedgerEntry& e = entries[i];
+      if (e.seen == stamp) {
+        ++i;
+      } else if (e.state == LedgerEntry::State::kResident) {
+        lost = true;
+      } else if (now > e.since + kAckGrace) {
+        ledger_.erase_at(i);  // the last entry moves to i; visit it next
+      } else {
+        ++i;
+      }
     }
+    if (!lost) return;
   }
+  census_.clear();
+  net_.collect_resident(census_);
+  reconcile_sorted(now);
 }
 
 void NetworkInvariantAuditor::reconcile_sorted(Cycle now) {
@@ -332,84 +353,72 @@ void NetworkInvariantAuditor::reconcile_sorted(Cycle now) {
   ledger_.reindex();
 }
 
-void NetworkInvariantAuditor::check_starvation(Cycle now) {
-  const auto& geom = net_.geometry();
-  const int routers = geom.num_routers();
-  if (routers == 0) return;
-  const int ports = net_.router(0).num_ports();
-  const int vcs = net_.config().vcs_per_port;
-  const std::size_t inputs =
-      static_cast<std::size_t>(routers) * static_cast<std::size_t>(ports);
-  hol_.resize(inputs * static_cast<std::size_t>(vcs));
-  watched_.resize(inputs);
+bool NetworkInvariantAuditor::router_blocked(std::size_t r,
+                                             std::size_t ports, Cycle now) {
+  std::int8_t& b = blocked_[r];
+  if (b < 0) {
+    const Router& router = net_.router(static_cast<RouterId>(r));
+    b = 0;
+    for (std::size_t p = 0; p < ports && b == 0; ++p) {
+      if (router.output(static_cast<int>(p)).blocked(now)) b = 1;
+    }
+  }
+  return b != 0;
+}
 
-  for (int r = 0; r < routers; ++r) {
-    Router& router = net_.router(static_cast<RouterId>(r));
+void NetworkInvariantAuditor::watch_input(const InputUnit& in, Cycle now,
+                                          std::size_t ports, std::size_t vcs) {
+  const auto r = static_cast<std::size_t>(in.router());
+  const auto p = static_cast<std::size_t>(in.port());
+  const std::size_t input = r * ports + p;
+  std::uint32_t& watched = watched_[input];
+  // A VC outside busy | watched holds no stream and a reset watch, which
+  // the reset below would leave as it is.
+  for (std::uint32_t m = in.busy_vcs() | watched; m != 0; m &= m - 1) {
+    const int vc = std::countr_zero(m);
+    const std::uint32_t bit = 1u << vc;
+    HolWatch& w = hol_[input * vcs + static_cast<std::size_t>(vc)];
+    const auto& buf = in.vcbuf(vc);
+    // Only committed (kActive) streams are watched: a stream holding an
+    // output VC with its in-order flit ready has nothing between it and
+    // the crossbar except arbitration (fair) or back-pressure (which shows
+    // up as a blocked output port).
+    if (buf.streams.empty() ||
+        buf.streams.front().state != InputUnit::PacketStream::State::kActive ||
+        !in.front_flit_ready(now, vc)) {
+      w = HolWatch{};
+      watched &= ~bit;
+      continue;
+    }
+    // From here on the watch holds a stream's next_seq (>= 0): armed.
+    watched |= bit;
+    const InputUnit::PacketStream& s = buf.streams.front();
+    if (w.packet != s.packet || w.next_seq != s.next_seq) {
+      w.packet = s.packet;
+      w.next_seq = s.next_seq;
+      w.ready_since = now;
+      continue;
+    }
     // Any blocked output port means the saturation machinery has fired (or
-    // would, were anyone sampling): back-pressure stalls on this router are
-    // accounted for and not "silent". Evaluated when a watch first asks.
-    bool blocked_known = false;
-    bool blocked = false;
-    for (int p = 0; p < ports; ++p) {
-      const InputUnit& in = router.input(p);
-      const std::size_t input = static_cast<std::size_t>(r) *
-                                    static_cast<std::size_t>(ports) +
-                                static_cast<std::size_t>(p);
-      std::uint32_t& watched = watched_[input];
-      // A VC outside busy | watched holds no stream and a reset watch,
-      // which the reset below would leave as it is.
-      for (std::uint32_t m = in.busy_vcs() | watched; m != 0; m &= m - 1) {
-        const int vc = std::countr_zero(m);
-        const std::uint32_t bit = 1u << vc;
-        HolWatch& w = hol_[input * static_cast<std::size_t>(vcs) +
-                           static_cast<std::size_t>(vc)];
-        const auto& buf = in.vcbuf(vc);
-        // Only committed (kActive) streams are watched: a stream holding an
-        // output VC with its in-order flit ready has nothing between it and
-        // the crossbar except arbitration (fair) or back-pressure (which
-        // shows up as a blocked output port above).
-        if (buf.streams.empty() ||
-            buf.streams.front().state != InputUnit::PacketStream::State::kActive ||
-            !in.front_flit_ready(now, vc)) {
-          w = HolWatch{};
-          watched &= ~bit;
-          continue;
-        }
-        // From here on the watch holds a stream's next_seq (>= 0): armed.
-        watched |= bit;
-        const InputUnit::PacketStream& s = buf.streams.front();
-        if (w.packet != s.packet || w.next_seq != s.next_seq) {
-          w.packet = s.packet;
-          w.next_seq = s.next_seq;
-          w.ready_since = now;
-          continue;
-        }
-        if (!blocked_known) {
-          blocked = any_output_blocked(router, ports, now);
-          blocked_known = true;
-        }
-        if (blocked) {
-          // Progress is legitimately stalled; restart the clock so the watch
-          // re-arms only after the congestion report clears.
-          w.ready_since = now;
-          continue;
-        }
-        if (now - w.ready_since >= cfg_.deadlock_horizon) {
-          std::ostringstream os;
-          os << "router " << r << " port " << p << " vc " << vc
-             << ": in-order flit of packet " << s.packet << " (seq "
-             << s.next_seq << ") ready but unserved for "
-             << (now - w.ready_since)
-             << " cycles with no blocked-port report";
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(r) << 32) |
-              (static_cast<std::uint64_t>(p) << 16) |
-              static_cast<std::uint64_t>(vc);
-          record(now, ViolationKind::kSilentStarvation, key, s.packet,
-                 os.str());
-          w.ready_since = now;  // re-arm instead of re-reporting every cycle
-        }
-      }
+    // would, were anyone sampling): back-pressure stalls on this router
+    // are accounted for and not "silent". Progress is legitimately
+    // stalled; restart the clock so the watch re-arms only after the
+    // congestion report clears.
+    if (router_blocked(r, ports, now)) {
+      w.ready_since = now;
+      continue;
+    }
+    if (now - w.ready_since >= cfg_.deadlock_horizon) {
+      std::ostringstream os;
+      os << "router " << r << " port " << p << " vc " << vc
+         << ": in-order flit of packet " << s.packet << " (seq "
+         << s.next_seq << ") ready but unserved for " << (now - w.ready_since)
+         << " cycles with no blocked-port report";
+      starved_.push_back({(static_cast<std::uint64_t>(r) << 32) |
+                              (static_cast<std::uint64_t>(p) << 16) |
+                              static_cast<std::uint64_t>(vc),
+                          s.packet, os.str()});
+      w.ready_since = now;  // re-arm instead of re-reporting every cycle
     }
   }
 }

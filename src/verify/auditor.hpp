@@ -7,17 +7,23 @@
 //
 // The auditor is a FlitAuditObserver: the network pushes lifecycle events
 // (injected / delivered / purged) into a per-uid ledger, and on_cycle_end()
-// walks a census of every resident flit (Network::collect_resident) against
-// that ledger. Anything that does not reconcile becomes a Violation,
-// annotated with the tail of the event trace when a sink is attached.
+// checks every resident flit of the fabric against that ledger. Anything
+// that does not reconcile becomes a Violation, annotated with the tail of
+// the event trace when a sink is attached.
 //
-// A clean audit costs about one network step: every census flit stamps its
-// ledger entry through a uid index, one sweep finds unstamped resident
-// entries and retires old ones, the credit check reads only counters on
-// idle hops, and the starvation watch visits only VCs with work. It sorts
-// nothing, builds no string and allocates nothing. An audit that finds
-// anything reports it through one uid-ordered merge, so violation order,
-// dedup keys and detail text do not depend on that bookkeeping.
+// A clean audit is one walk over the network's hop table
+// (Network::audit_walk) plus one sweep of the ledger: every resident flit
+// stamps its ledger entry through a uid index, every hop tallies its credit
+// terms reading its reverse wire, slots and receiver buffers once each
+// (idle hops only their counters), and every router input runs its
+// head-of-line watch over the VCs with work. The sweep finds unstamped
+// resident entries and retires old ones. It sorts nothing, builds no
+// string and allocates nothing; docs/PERFORMANCE.md §7 ("One audit walk")
+// has what it costs. An audit that finds anything reports it through the
+// census (Network::collect_resident) merged in uid order, the text of
+// check_invariants() and starvation findings in (router, port, vc) order,
+// so violation order, dedup keys and detail text do not depend on the
+// walk's order.
 #pragma once
 
 #include <cstdint>
@@ -156,12 +162,30 @@ class NetworkInvariantAuditor final : public FlitAuditObserver {
     }
   };
 
+  /// A silent-starvation finding, recorded after the walk in key order.
+  struct Starved {
+    std::uint64_t key = 0;  ///< (router << 32) | (port << 16) | vc.
+    PacketId packet = kInvalidPacket;
+    std::string detail;
+  };
+  /// Network::audit_walk's visitor (auditor.cpp).
+  struct Walk;
+
   void audit(Cycle now);
-  void check_census(Cycle now);
-  /// The reporting path of check_census: merge-walk the census and the
+  /// After the walk: sweep the ledger for resident entries no flit stamped
+  /// (losses) and retire old ones; on any anomaly report through the census.
+  void finish_census(Cycle now, bool stamped_all);
+  /// The reporting path of the census: merge-walk the census and the
   /// ledger, both sorted by uid, recording every discrepancy in uid order.
   void reconcile_sorted(Cycle now);
-  void check_starvation(Cycle now);
+  /// The head-of-line watch of one router input (every VC with work or an
+  /// armed watch), staging findings in starved_.
+  void watch_input(const InputUnit& in, Cycle now, std::size_t ports,
+                   std::size_t vcs);
+  /// Whether any output of router `r` is blocked, computed at most once
+  /// per audit.
+  [[nodiscard]] bool router_blocked(std::size_t r, std::size_t ports,
+                                    Cycle now);
   /// Recompute watched_ from hol_ (snapshot load).
   void rebuild_watched();
   void record(Cycle now, ViolationKind kind, std::uint64_t uid, PacketId packet,
@@ -178,11 +202,17 @@ class NetworkInvariantAuditor final : public FlitAuditObserver {
   std::set<PacketId> purged_packets_;
   std::vector<Violation> violations_;
   std::set<std::pair<std::uint64_t, int>> reported_;
-  std::vector<ResidentFlit> census_;  ///< Reused scratch.
   std::vector<HolWatch> hol_;         ///< Indexed router-major.
   /// Per router input (router-major): bit v set iff that input's VC v has
   /// an armed HolWatch. Derived from hol_; rebuilt on snapshot load.
   std::vector<std::uint32_t> watched_;
+  // Reused scratch, never serialized: the census of a failing audit, the
+  // walk's credit tally, each router's blocked verdict this audit (-1 not
+  // yet asked) and the audit's starvation findings.
+  std::vector<ResidentFlit> census_;
+  Network::CreditTally tally_;
+  std::vector<std::int8_t> blocked_;
+  std::vector<Starved> starved_;
   std::uint64_t audits_run_ = 0;
   std::uint64_t flits_tracked_ = 0;
 };

@@ -5,11 +5,19 @@
 // builds (see verify/mutation.hpp and scripts/mutation_check.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <set>
+#include <source_location>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/generator.hpp"
 #include "verify/campaign.hpp"
@@ -256,6 +264,24 @@ TEST_F(ForcedViolationTest, FalsePurgeReportsPurgeLeak) {
       << aud.report();
 }
 
+TEST_F(ForcedViolationTest, OneAuditWithSeveralKindsKeepsItsOrder) {
+  // One audit finds a ghost injection (census) and a stray credit on r5->N
+  // (credit check): the census findings come first, then the credit one.
+  net.set_audit(&aud);
+  aud.on_packet_injected(0, packet(2, 50, 2));
+  net.step();
+  net.link(5, Direction::kNorth).send_credit(net.now(), CreditMsg{1});
+  aud.on_cycle_end();
+  EXPECT_EQ(aud.report(),
+            "cycle 1: flit_loss packet=1 uid=0x100 — flit vanished from the "
+            "fabric (resident since cycle 0)\n"
+            "cycle 1: flit_loss packet=1 uid=0x101 — flit vanished from the "
+            "fabric (resident since cycle 0)\n"
+            "cycle 1: credit_conservation uid=0x63310f06b1c93735 — r5->N vc1: "
+            "credits 4 + wire 1 + slots 0 + buffered 0 - overlap 0 != depth "
+            "4\n");
+}
+
 TEST_F(ForcedViolationTest, ViolationReportIsDescriptive) {
   net.set_audit(&aud);
   PacketInfo ghost = packet(2, 50, 2);
@@ -273,70 +299,102 @@ TEST_F(ForcedViolationTest, ViolationReportIsDescriptive) {
 // a small fixed-seed campaign must both catch the compiled bug.
 // ---------------------------------------------------------------------------
 
+/// What the targeted mutation scenario ends with: an attacked, audited
+/// fabric under 1.2x blackscholes load for 900 cycles. Run once per binary.
+struct TargetedOutcome {
+  std::set<verify::ViolationKind> kinds;
+  std::string report;
+};
+
+const TargetedOutcome& targeted_outcome() {
+  static const TargetedOutcome outcome = [] {
+    sim::SimConfig sc = audited_config();
+    sc.audit.deadlock_horizon = 120;  // catch starvation inside the run
+    sc.attacks.push_back(dest_attack(40));
+    sim::Simulator simulator(std::move(sc));
+    Network& net = simulator.network();
+    traffic::DeliveryDispatcher disp;
+    disp.install(net);
+    traffic::AppProfile profile = traffic::blackscholes_profile();
+    profile.injection_rate *= 1.2;
+    traffic::AppTrafficModel model(net.geometry(), profile);
+    traffic::TrafficGenerator::Params gp;
+    gp.seed = 7;
+    traffic::TrafficGenerator gen(net, model, gp, disp);
+    simulator.set_drop_callback([&](PacketId id) { gen.requeue(id); });
+
+    // Purge storms are what expose the purge-path mutation; for the others
+    // they only add noise (and with DROP_ACK a purge of a delivered-but-
+    // unACKed packet trips a credit contract check before the auditor gets
+    // to report — the campaign still flags that run, but this test wants
+    // the auditor's own verdict).
+    const bool storm =
+        verify::expected_violation() == verify::ViolationKind::kPurgeLeak;
+    for (Cycle c = 0; c < 900; ++c) {
+      if (storm && c > 60 && c % 13 == 0) {
+        // Purge a recently injected packet — one old enough to have flits
+        // in retransmission slots but young enough to still be in flight.
+        const PacketId hi = net.peek_next_packet_id();
+        const PacketId victim =
+            hi > 9 ? hi - 1 - static_cast<PacketId>(c) % 8 : PacketId{1};
+        if (hi > 1) {
+          for (const PacketId dropped : net.purge_packet(victim)) {
+            gen.requeue(dropped);
+          }
+        }
+      }
+      gen.step();
+      simulator.step();
+    }
+    TargetedOutcome out;
+    for (const verify::Violation& v : simulator.auditor()->violations()) {
+      out.kinds.insert(v.kind);
+    }
+    out.report = simulator.auditor()->report();
+    return out;
+  }();
+  return outcome;
+}
+
+/// The small fixed-seed campaign every mutation must fail. Run once per
+/// binary.
+const verify::CampaignSpec& mutation_campaign_spec() {
+  static const verify::CampaignSpec spec = [] {
+    verify::CampaignSpec s;
+    s.seed = 0xC0FFEE;
+    s.scenarios = 80;
+    s.threads = 2;
+    s.audit.deadlock_horizon = 150;
+    return s;
+  }();
+  return spec;
+}
+
+const verify::CampaignResult& mutation_campaign() {
+  static const verify::CampaignResult result =
+      verify::FaultCampaign(mutation_campaign_spec()).run();
+  return result;
+}
+
 TEST(MutationSelfTest, TargetedScenarioTripsExpectedKind) {
   if (verify::compiled_mutation()[0] == '\0') {
     GTEST_SKIP() << "clean build: no mutation compiled in";
   }
-  sim::SimConfig sc = audited_config();
-  sc.audit.deadlock_horizon = 120;  // catch starvation inside the run
-  sc.attacks.push_back(dest_attack(40));
-  sim::Simulator simulator(std::move(sc));
-  Network& net = simulator.network();
-  traffic::DeliveryDispatcher disp;
-  disp.install(net);
-  traffic::AppProfile profile = traffic::blackscholes_profile();
-  profile.injection_rate *= 1.2;
-  traffic::AppTrafficModel model(net.geometry(), profile);
-  traffic::TrafficGenerator::Params gp;
-  gp.seed = 7;
-  traffic::TrafficGenerator gen(net, model, gp, disp);
-  simulator.set_drop_callback([&](PacketId id) { gen.requeue(id); });
-
-  // Purge storms are what expose the purge-path mutation; for the others
-  // they only add noise (and with DROP_ACK a purge of a delivered-but-
-  // unACKed packet trips a credit contract check before the auditor gets
-  // to report — the campaign still flags that run, but this test wants the
-  // auditor's own verdict).
-  const bool storm =
-      verify::expected_violation() == verify::ViolationKind::kPurgeLeak;
-  for (Cycle c = 0; c < 900; ++c) {
-    if (storm && c > 60 && c % 13 == 0) {
-      // Purge a recently injected packet — one old enough to have flits in
-      // retransmission slots but young enough to still be in flight.
-      const PacketId hi = net.peek_next_packet_id();
-      const PacketId victim =
-          hi > 9 ? hi - 1 - static_cast<PacketId>(c) % 8 : PacketId{1};
-      if (hi > 1) {
-        for (const PacketId dropped : net.purge_packet(victim)) {
-          gen.requeue(dropped);
-        }
-      }
-    }
-    gen.step();
-    simulator.step();
-  }
-
-  const verify::NetworkInvariantAuditor* aud = simulator.auditor();
-  ASSERT_FALSE(aud->clean())
+  const TargetedOutcome& outcome = targeted_outcome();
+  ASSERT_FALSE(outcome.report.empty())
       << "mutation " << verify::compiled_mutation() << " was not caught";
-  std::set<verify::ViolationKind> kinds;
-  for (const verify::Violation& v : aud->violations()) kinds.insert(v.kind);
-  EXPECT_TRUE(kinds.contains(verify::expected_violation()))
+  EXPECT_TRUE(outcome.kinds.contains(verify::expected_violation()))
       << "mutation " << verify::compiled_mutation() << " expected "
       << verify::to_string(verify::expected_violation()) << "; got:\n"
-      << aud->report();
+      << outcome.report;
 }
 
 TEST(MutationSelfTest, CampaignCatchesMutationWithReproSpec) {
   if (verify::compiled_mutation()[0] == '\0') {
     GTEST_SKIP() << "clean build: no mutation compiled in";
   }
-  verify::CampaignSpec spec;
-  spec.seed = 0xC0FFEE;
-  spec.scenarios = 80;
-  spec.threads = 2;
-  spec.audit.deadlock_horizon = 150;
-  const verify::CampaignResult result = verify::FaultCampaign(spec).run();
+  const verify::CampaignSpec& spec = mutation_campaign_spec();
+  const verify::CampaignResult& result = mutation_campaign();
   ASSERT_GT(result.failures(), 0u)
       << "campaign missed mutation " << verify::compiled_mutation();
 
@@ -356,6 +414,64 @@ TEST(MutationSelfTest, CampaignCatchesMutationWithReproSpec) {
     EXPECT_EQ(replay.descriptor, s.descriptor);
     break;  // one replay is enough; the determinism test covers the rest
   }
+}
+
+/// FNV-1a (pinned_hash) of the targeted scenario's report() and of the
+/// campaign's summary_text() for each mutation, recorded before the audit
+/// walk took over the census, the credit check and the starvation watch.
+/// A failing audit must report what it reported then, byte for byte.
+struct OutcomePin {
+  const char* mutation;
+  std::uint64_t report;
+  std::uint64_t summary;
+};
+
+constexpr OutcomePin kOutcomePins[] = {
+    {"DROP_ACK", 0x0f18319d543e2163, 0x9bd41a69d5693e46},
+    {"PURGE_SLOT_LEAK", 0x7d5a2bcc8b1d659c, 0x9b7b76d3918b2c8f},
+    {"SKIP_CREDIT", 0xca85b2667b731fac, 0x9847188f2ca090fc},
+    {"EXTRA_CREDIT", 0xf90aea13a82d034b, 0xe0807c661d5ecf76},
+    {"DOUBLE_DELIVER", 0x95fbbf1f35e73011, 0xac448424da6a54f2},
+    {"LOSE_FLIT", 0xdd2bab70e6da7234, 0x6e9434448e26c111},
+    {"PHANTOM_FLIT", 0x40c981224f53c805, 0x286f04dc48a9f52d},
+    {"BLIND_SATURATION", 0xb2a2009211db160a, 0xac21cee659cec41e},
+};
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << "0x" << std::hex << v;
+  return os.str();
+}
+
+/// FNV-1a of `text` with the source tree's root removed from every path
+/// in it: a scenario that dies on a contract check names the file it fired
+/// in, and the pin must not depend on where the tree is checked out.
+std::string pinned_hash(std::string text) {
+  const std::string_view self = std::source_location::current().file_name();
+  const std::string_view tail = "tests/test_invariant_auditor.cpp";
+  if (self.ends_with(tail) && self.size() > tail.size()) {
+    const std::string root(self.substr(0, self.size() - tail.size()));
+    for (std::size_t at = text.find(root); at != std::string::npos;
+         at = text.find(root, at)) {
+      text.erase(at, root.size());
+    }
+  }
+  return hex(fnv1a(text.data(), text.size()));
+}
+
+TEST(MutationSelfTest, OutcomeMatchesTheParent) {
+  if (verify::compiled_mutation()[0] == '\0') {
+    GTEST_SKIP() << "clean build: no mutation compiled in";
+  }
+  const std::string_view mutation = verify::compiled_mutation();
+  const auto* pin =
+      std::find_if(std::begin(kOutcomePins), std::end(kOutcomePins),
+                   [&](const OutcomePin& p) { return p.mutation == mutation; });
+  ASSERT_NE(pin, std::end(kOutcomePins)) << "no pin for " << mutation;
+  const std::string& report = targeted_outcome().report;
+  EXPECT_EQ(pinned_hash(report), hex(pin->report)) << report;
+  const std::string summary = mutation_campaign().summary_text();
+  EXPECT_EQ(pinned_hash(summary), hex(pin->summary)) << summary;
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 // and purges.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sim/simulator.hpp"
+#include "traffic/app_profile.hpp"
 #include "traffic/generator.hpp"
 
 namespace htnoc {
@@ -189,6 +192,71 @@ TEST(Invariants, CreditCheckNamesHopsInLinkOrder) {
     net.link(15, Direction::kNorth).send_credit(0, CreditMsg{0});
     EXPECT_EQ(net.check_invariants().substr(0, 10), "r15->N vc0");
   }
+}
+
+/// The credit-check text of hop `from`->`dir` after `cycles` cycles of
+/// facesim traffic on `sc`, with one stray credit added on its `vc`. The
+/// stray credit breaks only that hop, so the text shows all its terms.
+/// `station_hold`: the receiver must hold a flit in its scramble station.
+std::string text_with_stray_credit(const sim::SimConfig& sc, Cycle cycles,
+                                   RouterId from, Direction dir, VcId vc,
+                                   bool station_hold) {
+  sim::Simulator simulator(sc);
+  Network& net = simulator.network();
+  traffic::DeliveryDispatcher disp;
+  disp.install(net);
+  traffic::AppTrafficModel model(net.geometry(),
+                                 traffic::profile_by_name("facesim"));
+  traffic::TrafficGenerator::Params gp;
+  gp.seed = 0x5EED;
+  traffic::TrafficGenerator gen(net, model, gp, disp);
+  simulator.set_drop_callback([&](PacketId id) { gen.requeue(id); });
+  for (Cycle c = 0; c < cycles; ++c) {
+    gen.step();
+    simulator.step();
+  }
+  EXPECT_EQ(net.check_invariants(), "");
+  // A flit held in the scramble station counts in the input's occupancy
+  // but in no VC stream.
+  const InputUnit& in = net.router(net.geometry().neighbor(from, dir))
+                            .input(direction_port(opposite(dir)));
+  int streamed = 0;
+  for (int v = 0; v < in.num_vcs(); ++v) streamed += in.vcbuf(v).occupancy;
+  EXPECT_EQ(in.occupancy() > streamed, station_hold);
+  net.link(from, dir).send_credit(net.now(), CreditMsg{vc});
+  return net.check_invariants();
+}
+
+TEST(Invariants, CreditTextPinsEveryTerm) {
+  // A TASP on r5->E answered by forced-scramble L-Ob: the receiver parks
+  // scrambled phits in its station while the sender retransmits. At these
+  // cycles the hop has credits on the reverse wire, slots, buffered flits,
+  // slots whose flit the receiver already holds (overlap) and a station
+  // hold, on vc3 (station on another VC) and on vc2 (station on vc2).
+  sim::SimConfig sc;
+  sc.mode = sim::MitigationMode::kLOb;
+  sc.lob = mitigation::forced_lob_params(ObfMethod::kScramble,
+                                         ObfGranularity::kFlit);
+  sim::AttackSpec atk;
+  atk.link = {5, Direction::kEast};
+  atk.tasp.kind = trojan::TargetKind::kDest;
+  atk.tasp.target_dest = 6;
+  sc.attacks.push_back(atk);
+  EXPECT_EQ(text_with_stray_credit(sc, 3724, 5, Direction::kEast, 3, true),
+            "r5->E vc3: credits 1 + wire 2 + slots 2 + buffered 1 - overlap 1 "
+            "!= depth 4");
+  EXPECT_EQ(text_with_stray_credit(sc, 5365, 5, Direction::kEast, 2, true),
+            "r5->E vc2: credits 0 + wire 2 + slots 3 + buffered 1 - overlap 1 "
+            "!= depth 4");
+}
+
+TEST(Invariants, CreditTextPinsPerVcBuffersUnderTdm) {
+  sim::SimConfig sc;
+  sc.noc.tdm_enabled = true;
+  sc.noc.retrans_scheme = RetransmissionScheme::kPerVcBuffer;
+  EXPECT_EQ(text_with_stray_credit(sc, 306, 5, Direction::kWest, 1, false),
+            "r5->W vc1: credits 1 + wire 2 + slots 2 + buffered 1 - overlap 1 "
+            "!= depth 4");
 }
 
 TEST(Invariants, GoldenDeterminismLock) {

@@ -140,10 +140,9 @@ TEST_F(PurgeTest, FlitInLinkPhitAndRetransSlotCountedOnce) {
   for (int i = 0; i < 20 && !dual; ++i) {
     net.step();
     bool slot_in_flight = false;
-    for (int vc = 0; vc < cfg.vcs_per_port; ++vc) {
-      inj.for_each_inflight_uid(vc,
-                                [&](std::uint64_t) { slot_in_flight = true; });
-    }
+    inj.for_each_slot([&](std::uint64_t, VcId, bool in_flight) {
+      slot_in_flight = slot_in_flight || in_flight;
+    });
     dual = slot_in_flight && l->has_packet(info.id);
   }
   ASSERT_TRUE(dual) << "never caught the flit in both locations";
@@ -187,11 +186,9 @@ TEST_F(PurgeTest, PurgeRacingInFlightAckAtEveryOffset) {
     // purged packet once its control traffic has drained.
     const auto holds_packet = [&](const OutputUnit& out) {
       bool held = false;
-      for (int vc = 0; vc < cfg.vcs_per_port; ++vc) {
-        out.for_each_inflight_uid(vc, [&](std::uint64_t uid) {
-          if ((uid >> 8) == info.id) held = true;
-        });
-      }
+      out.for_each_slot([&](std::uint64_t uid, VcId, bool in_flight) {
+        if (in_flight && (uid >> 8) == info.id) held = true;
+      });
       return held;
     };
     for (RouterId r = 0; r < cfg.num_routers(); ++r) {

@@ -18,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "noc/network.hpp"
+#include "sim/simulator.hpp"
 #include "verify/auditor.hpp"
 
 namespace {
@@ -145,11 +146,13 @@ std::uint64_t allocations_in_step(const NocConfig& cfg, int packets_per_cycle,
 }
 
 /// Heap allocations made inside NetworkInvariantAuditor::on_cycle_end over
-/// `window` audited cycles, after `warmup` audited cycles of the same load.
-/// The step and the injections run with the counter off.
-std::uint64_t allocations_in_audit(const NocConfig& cfg, int packets_per_cycle,
-                                   Cycle warmup, Cycle window) {
-  Network net(cfg);
+/// `window` audited cycles of `net`, after `warmup` audited cycles of the
+/// same load. `step` advances the fabric one cycle; it and the injections
+/// run with the counter off.
+template <class Step>
+std::uint64_t allocations_in_audit(Network& net, Step&& step,
+                                   int packets_per_cycle, Cycle warmup,
+                                   Cycle window) {
   std::uint64_t delivered = 0;
   net.set_delivery_callback(
       [&delivered](Cycle, const PacketInfo&, Cycle) { ++delivered; });
@@ -160,14 +163,14 @@ std::uint64_t allocations_in_audit(const NocConfig& cfg, int packets_per_cycle,
   UniformLoad load(net, packets_per_cycle);
   for (Cycle c = 0; c < warmup; ++c) {
     load.inject();
-    net.step();
+    step();
     auditor.on_cycle_end();
   }
   const std::uint64_t delivered_before = delivered;
   g_allocations.store(0);
   for (Cycle c = 0; c < window; ++c) {
     load.inject();
-    net.step();
+    step();
     g_counting.store(true);
     auditor.on_cycle_end();
     g_counting.store(false);
@@ -175,7 +178,15 @@ std::uint64_t allocations_in_audit(const NocConfig& cfg, int packets_per_cycle,
   EXPECT_GT(delivered, delivered_before) << "the window must move traffic";
   EXPECT_EQ(auditor.audits_run(), warmup + window);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
+  net.set_audit(nullptr);
   return g_allocations.load();
+}
+
+std::uint64_t allocations_in_audit(const NocConfig& cfg, int packets_per_cycle,
+                                   Cycle warmup, Cycle window) {
+  Network net(cfg);
+  return allocations_in_audit(
+      net, [&net] { net.step(); }, packets_per_cycle, warmup, window);
 }
 
 TEST(StepAllocations, CounterSeesAllocations) {
@@ -226,6 +237,32 @@ TEST(StepAllocations, LoadedMesh8x8ParkingShardedStepWithoutAllocating) {
 TEST(AuditAllocations, LoadedCmesh4x4AuditsWithoutAllocating) {
   NocConfig cfg;
   EXPECT_EQ(allocations_in_audit(cfg, 4, 2000, 3000), 0u);
+}
+
+TEST(AuditAllocations, AttackedCmesh4WithScrambleAuditsWithoutAllocating) {
+  // A TASP on r5->E answered by forced-scramble L-Ob: the receiver parks
+  // scrambled phits in its scramble station while the sender's slots wait
+  // on ACKs, so the audit's credit tally counts station holds and
+  // ACK-in-flight overlap on that hop.
+  sim::SimConfig sc;
+  sc.mode = sim::MitigationMode::kLOb;
+  sc.lob = mitigation::forced_lob_params(ObfMethod::kScramble,
+                                         ObfGranularity::kFlit);
+  sim::AttackSpec atk;
+  atk.link = {5, Direction::kEast};
+  atk.tasp.kind = trojan::TargetKind::kDest;
+  atk.tasp.target_dest = 6;
+  sc.attacks.push_back(atk);
+  sim::Simulator simulator(sc);
+  Network& net = simulator.network();
+  const InputUnit& receiver = net.router(6).input(kPortWest);
+  const std::uint64_t stalls_before = receiver.stats().scramble_stalls;
+  EXPECT_EQ(allocations_in_audit(
+                net, [&simulator] { simulator.step(); }, 4, 2000, 3000),
+            0u);
+  EXPECT_GT(simulator.tasp(0).stats().injections, 0u);
+  EXPECT_GT(receiver.stats().scramble_stalls, stalls_before)
+      << "no scrambled phit waited in the station";
 }
 
 TEST(AuditAllocations, LoadedMesh8x8AuditsWithoutAllocating) {

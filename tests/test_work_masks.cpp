@@ -10,6 +10,10 @@
 //     set and the drain would skip a unit with messages due;
 //   - every input's occupancy counter must equal the flits in its VC
 //     buffers plus its scramble station.
+// The auditor's walk (Network::audit_walk) trusts the same state and must
+// see exactly what the census sees: every resident flit collect_resident
+// lists, each router input once, and the credit verdict check_invariants()
+// gives.
 // These tests recompute all of them from the buffers and links after every
 // cycle, on every router port and NI, through each path that creates or
 // retires streams: loaded traffic, a TASP answered by forced-scramble L-Ob
@@ -18,6 +22,7 @@
 // and a snapshot restored mid-run — serially and with a sharded step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -148,6 +153,57 @@ std::string derived_mismatch(Network& net) {
   return {};
 }
 
+/// What one audit walk hands its visitor, and its credit verdict.
+struct WalkRecord {
+  std::size_t ports = 0;
+  std::vector<std::uint64_t> uids;
+  std::vector<int> input_visits;  ///< Per router input, router-major.
+  bool balanced = false;
+
+  void flit(std::uint64_t uid) { uids.push_back(uid); }
+  void router_input(const InputUnit& in) {
+    ++input_visits.at(static_cast<std::size_t>(in.router()) * ports +
+                      static_cast<std::size_t>(in.port()));
+  }
+};
+
+WalkRecord record_walk(const Network& net) {
+  WalkRecord walk;
+  walk.ports = static_cast<std::size_t>(
+      net.config().ports_per_router());
+  walk.input_visits.assign(
+      static_cast<std::size_t>(net.geometry().num_routers()) * walk.ports, 0);
+  Network::CreditTally tally;
+  walk.balanced = net.audit_walk(walk, tally);
+  return walk;
+}
+
+/// Empty when the audit walk hands its visitor the census's flit uids (as
+/// multisets) and every router input exactly once, and its credit verdict
+/// matches check_invariants(); else the first difference.
+std::string walk_mismatch(const Network& net) {
+  WalkRecord walk = record_walk(net);
+  std::vector<ResidentFlit> census;
+  net.collect_resident(census);
+  std::vector<std::uint64_t> want;
+  for (const ResidentFlit& r : census) want.push_back(r.uid);
+  std::sort(want.begin(), want.end());
+  std::sort(walk.uids.begin(), walk.uids.end());
+  if (walk.uids != want) {
+    return "walk visited " + std::to_string(walk.uids.size()) +
+           " flits, census lists " + std::to_string(want.size());
+  }
+  for (std::size_t i = 0; i < walk.input_visits.size(); ++i) {
+    if (walk.input_visits[i] != 1) {
+      return "router " + std::to_string(i / walk.ports) + " input " +
+             std::to_string(i % walk.ports) + " visited " +
+             std::to_string(walk.input_visits[i]) + " times";
+    }
+  }
+  return differ("walk", "credit verdict", walk.balanced ? 1 : 0,
+                "check_invariants", net.check_invariants().empty() ? 1 : 0);
+}
+
 /// A simulator plus the application traffic that loads it.
 struct Rig {
   sim::Simulator sim;
@@ -171,12 +227,13 @@ struct Rig {
 
   Network& net() { return sim.network(); }
 
-  /// Step `n` cycles, checking every mask after each one.
+  /// Step `n` cycles, checking every mask and the audit walk after each.
   void run_checked(Cycle n) {
     for (Cycle c = 0; c < n; ++c) {
       gen.step();
       sim.step();
-      const std::string err = derived_mismatch(net());
+      std::string err = derived_mismatch(net());
+      if (err.empty()) err = walk_mismatch(net());
       ASSERT_TRUE(err.empty()) << "cycle " << net().now() << ": " << err;
     }
   }
@@ -254,6 +311,8 @@ TEST_P(WorkMasks, PurgeStorm) {
     for (int i = 0; i < 5; ++i) rig.purge_random(rng);
     ASSERT_TRUE(derived_mismatch(rig.net()).empty())
         << "after purge burst " << burst << ": " << derived_mismatch(rig.net());
+    ASSERT_TRUE(walk_mismatch(rig.net()).empty())
+        << "after purge burst " << burst << ": " << walk_mismatch(rig.net());
     rig.run_checked(20);
   }
   EXPECT_GT(rig.net().purge_totals().packets, 0u);
@@ -286,6 +345,8 @@ TEST_P(WorkMasks, SnapshotRestoredMidRun) {
   verify::load_snapshot(b.sim, {&b.gen}, blob);
   ASSERT_TRUE(derived_mismatch(b.net()).empty())
       << "right after load: " << derived_mismatch(b.net());
+  ASSERT_TRUE(walk_mismatch(b.net()).empty())
+      << "right after load: " << walk_mismatch(b.net());
   for (Cycle c = 0; c < 300; ++c) {
     a.run_checked(1);
     b.run_checked(1);
@@ -296,6 +357,35 @@ TEST_P(WorkMasks, SnapshotRestoredMidRun) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, WorkMasks, ::testing::ValuesIn(kCases));
+
+TEST(AuditWalk, EveryHopsStrayCreditFailsTheWalk) {
+  // The walk tallies every wired hop: one stray credit on any of them, on
+  // an otherwise idle fabric, makes it report an unbalanced fabric, as
+  // check_invariants() does.
+  for (const MaskCase& c : kCases) {
+    if (c.step_threads != 1) continue;
+    const NocConfig cfg = base_config(c).noc;
+    const auto check = [&](const std::string& where, auto&& stray) {
+      Network net(cfg);
+      stray(net);
+      EXPECT_FALSE(record_walk(net).balanced) << c.fabric << " " << where;
+      EXPECT_FALSE(net.check_invariants().empty()) << c.fabric << " " << where;
+    };
+    Network probe(cfg);
+    for (const LinkRef& l : probe.all_links()) {
+      check("r" + std::to_string(l.from) + " " + to_string(l.dir),
+            [&](Network& n) { n.link(l.from, l.dir).send_credit(0, CreditMsg{0}); });
+    }
+    for (NodeId core = 0; core < probe.geometry().num_cores(); ++core) {
+      check("inj.c" + std::to_string(core), [&](Network& n) {
+        n.ni(core).injection_port().link()->send_credit(0, CreditMsg{1});
+      });
+      check("ej.c" + std::to_string(core), [&](Network& n) {
+        n.ni(core).ejection_port().link()->send_credit(0, CreditMsg{1});
+      });
+    }
+  }
+}
 
 }  // namespace
 }  // namespace htnoc
